@@ -163,13 +163,6 @@ def euler_presentation(n: int) -> GradedMap:
     return GradedMap(nv, [0], [1] * nv, rows)
 
 
-def euler_column(n: int, source_twist: int = -1) -> GradedMap:
-    """The tautological column (Z_0, ..., Z_n): O(a) -> O(a+1)^(n+1)."""
-    nv = n + 1
-    rows = [[HomPoly.variable(nv, i)] for i in range(nv)]
-    return GradedMap(nv, [source_twist], [source_twist + 1] * nv, rows)
-
-
 def power_column(ctx: VeroneseContext) -> GradedMap:
     """Column of all degree-d monomials: O(-d) -> O^C(n+d,d)."""
     nv = ctx.num_vars

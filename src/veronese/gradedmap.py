@@ -148,10 +148,24 @@ class CurveParam:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CurveParam":
-        degree = int(obj["degree"])
-        forms = tuple(parse_poly(s, 2, degree) for s in obj["forms"])
-        return cls(degree, forms)
+    def from_json(cls, obj: object) -> "CurveParam":
+        """Parse the curveparam v1 shape; a malformed blob raises ValueError.
+
+        The shape is checked by hand, mirroring curveparam.schema.json, so
+        that parsing needs no schema validator at run time.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("curve must be a JSON object")
+        if set(obj) != {"degree", "forms"}:
+            raise ValueError(
+                f"curve must have exactly the keys 'degree' and 'forms', got {list(obj)}"
+            )
+        degree, forms = obj["degree"], obj["forms"]
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+            raise ValueError(f"curve degree must be an integer >= 1, got {degree!r}")
+        if not isinstance(forms, list) or not all(isinstance(s, str) for s in forms):
+            raise ValueError("curve forms must be a list of strings")
+        return cls(degree, tuple(parse_poly(s, 2, degree) for s in forms))
 
 
 # -- graded maps ----------------------------------------------------------------

@@ -4,31 +4,28 @@ Input: an injective map of twisted frees F1 -> F0 on P^1 whose cokernel E
 is locally free.  The dual of E is the kernel sheaf of the dualized map,
 and its graded module of sections over k[s,t] is free (second syzygies
 over a two-variable polynomial ring), hence automatically saturated.  The
-splitting degrees of E are exactly the minimal generator degrees of that
-kernel module, found by degree-by-degree exact linear algebra: at each
-degree, new generators are kernel vectors outside the span of the (s,t)-
-multiples of the previous degree's kernel.
+splitting degrees of E are exactly the generator degrees b_i of that
+kernel module.  A free module with generators in degrees b_i has Hilbert
+function K(m) = sum_i max(0, m - b_i + 1), so the number of generators of
+degree m is the second difference K(m) - 2K(m-1) + K(m-2).  K(m) is the
+nullity of the dual's degree-m stratum: the scan needs exact ranks only.
 
 Preconditions are enforced, not assumed.  Injectivity is decided exactly
 by scalar ranks at D+1 points of the line, D a degree bound on maximal
-minors.  Local freeness is probed by the gcd of maximal minors (shuffled
-deterministic order, early exit on a constant gcd); when the probe budget
-runs out first, the exact degree-conservation identity settles it: the
-kernel-module degrees describe the torsion-free quotient, so any deficit
-against sum(t) - sum(s) is precisely the torsion length.
+minors.  Local freeness is decided by degree conservation: the kernel
+module is free even when E has torsion, and its degrees then describe the
+torsion-free quotient of E, so any deficit against sum(t) - sum(s) is
+precisely the torsion length.  With rank 0 there is no kernel module; the
+cokernel is then torsion of length sum(t) - sum(s), the degree of the
+determinant, and E = 0 exactly when the two twist sums agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import comb
 
-from .gradedmap import GradedMap, binary_gcd
-from .linalg import QMatrix, RowSpan
-from .poly import HomPoly
-from .prng import SplitMix64
+from .gradedmap import GradedMap
+from .linalg import QMatrix
 
 
 class NotInjectiveError(ValueError):
@@ -80,67 +77,6 @@ class SplittingType:
         return {"degrees": list(self.degrees), "rank": self.rank, "degree": self.degree}
 
 
-def _poly_det(entries: list[list[HomPoly]], degree: int) -> HomPoly:
-    """Determinant of a square matrix of binary forms via subset DP."""
-    q = len(entries)
-    if q == 0:
-        return HomPoly.constant(2, 1)
-    zero = HomPoly.zero(2, degree)
-    # state: chosen-column bitmask after processing rows 0..k-1
-    states = {0: HomPoly.constant(2, 1)}
-    for k in range(q):
-        row = entries[k]
-        nxt: dict[int, HomPoly] = {}
-        for mask, acc in states.items():
-            if acc.is_zero():
-                continue
-            chosen = bin(mask).count("1")
-            below = 0
-            for j in range(q):
-                bit = 1 << j
-                if mask & bit:
-                    below += 1
-                    continue
-                e = row[j]
-                if e.is_zero():
-                    continue
-                # sign: parity of chosen columns greater than j
-                term = acc * e if (chosen - below) % 2 == 0 else acc * e * -1
-                prev = nxt.get(mask | bit)
-                nxt[mask | bit] = term if prev is None else prev + term
-        states = nxt
-        if not states:
-            return zero
-    return states.get((1 << q) - 1, zero)
-
-
-_PROBE_SEED = 0x51B0
-_MINOR_BUDGET = 40
-_ENUMERATION_CAP = 200_000
-
-
-def _minor_subsets(p: int, q: int):
-    """Deterministic enumeration of q-row subsets, shuffled so consecutive
-    subsets do not share most rows (lex order makes gcds converge slowly
-    on structured matrices)."""
-    total = comb(p, q)
-    if total <= _ENUMERATION_CAP:
-        subsets = list(combinations(range(p), q))
-        rng = SplitMix64(_PROBE_SEED)
-        for i in range(len(subsets) - 1, 0, -1):
-            j = rng.next_below(i + 1)
-            subsets[i], subsets[j] = subsets[j], subsets[i]
-        yield from subsets
-    else:
-        # too many to materialize: sample without repetition tracking
-        rng = SplitMix64(_PROBE_SEED)
-        for _ in range(_ENUMERATION_CAP):
-            chosen: set[int] = set()
-            while len(chosen) < q:
-                chosen.add(rng.next_below(p))
-            yield tuple(sorted(chosen))
-
-
 def _minor_degree_bound(pres: GradedMap) -> int:
     p, q = pres.shape
     top = sorted(pres.target_twists, reverse=True)[:q]
@@ -170,76 +106,6 @@ def _assert_injective(pres: GradedMap) -> None:
     raise NotInjectiveError("presentation not injective")
 
 
-def _probe_local_freeness(pres: GradedMap) -> bool:
-    """Probe local freeness via the gcd of maximal minors.
-
-    Raises NotLocallyFreeError when full enumeration proves the gcd is not
-    constant.  Returns True when local freeness is certified (gcd hit a
-    constant), False when the probe budget ran out first; the caller then
-    settles the question by the exact degree-conservation identity.
-    """
-    p, q = pres.shape
-    if q == 0:
-        return True
-    # cheap structural filters: per-row nonzero column masks
-    row_masks = []
-    for row in pres.entries:
-        mask = 0
-        for j, e in enumerate(row):
-            if not e.is_zero():
-                mask |= 1 << j
-        row_masks.append(mask)
-    full = (1 << q) - 1
-    exhaustive = comb(p, q) <= _ENUMERATION_CAP
-    gcd_acc: HomPoly | None = None
-    nonzero_seen = 0
-    for rows in _minor_subsets(p, q):
-        cover = 0
-        degenerate = False
-        for r in rows:
-            if row_masks[r] == 0:
-                degenerate = True
-                break
-            cover |= row_masks[r]
-        if degenerate or cover != full:
-            continue
-        deg = sum(pres.target_twists[r] for r in rows) - sum(pres.source_twists)
-        if deg < 0:
-            continue
-        det = _poly_det([pres.entries[r] for r in rows], deg)
-        if det.is_zero():
-            continue
-        nonzero_seen += 1
-        gcd_acc = det if gcd_acc is None else binary_gcd(gcd_acc, det)
-        if gcd_acc.degree == 0:
-            return True
-        if nonzero_seen >= _MINOR_BUDGET:
-            return False
-    if exhaustive and gcd_acc is not None:
-        raise NotLocallyFreeError("cokernel not locally free")
-    return False
-
-
-def _shift_vector(vec, dims_lo, dims_hi, by_t: bool) -> list[Fraction]:
-    """Image of a kernel vector under multiplication by s or t.
-
-    Source coordinates run block by block over the degree-k monomials
-    (s^k, s^{k-1}t, ..., t^k); multiplication by s keeps the local index,
-    by t shifts it up one.
-    """
-    out = [Fraction(0)] * sum(dims_hi)
-    src_off = 0
-    dst_off = 0
-    for lo, hi in zip(dims_lo, dims_hi):
-        for idx in range(lo):
-            c = vec[src_off + idx]
-            if c:
-                out[dst_off + idx + (1 if by_t else 0)] += c
-        src_off += lo
-        dst_off += hi
-    return out
-
-
 def splitting_type(pres: GradedMap) -> SplittingType:
     """Splitting degrees of the cokernel bundle of an injective presentation.
 
@@ -252,46 +118,37 @@ def splitting_type(pres: GradedMap) -> SplittingType:
     p, q = pres.shape
     rank = p - q
     _assert_injective(pres)
-    certified = _probe_local_freeness(pres)
     if q == 0:
         return SplittingType(pres.target_twists)
+    want = sum(pres.target_twists) - sum(pres.source_twists)
     if rank == 0:
-        if not certified:
-            raise NotLocallyFreeError("cokernel not locally free")
+        if want != 0:
+            raise NotLocallyFreeError(
+                f"cokernel not locally free: torsion length {want}"
+            )
         return SplittingType(())
 
     dual = pres.dual()  # kernel module of this map is the dual bundle of E
     lo = min(pres.target_twists)
-    hi = sum(pres.target_twists) - sum(pres.source_twists) - (rank - 1) * lo
+    hi = want - (rank - 1) * lo
     degrees: list[int] = []
-    prev_kernel: list[list[Fraction]] = []
-    prev_dims: list[int] = []
+    k1 = k2 = 0  # K(m-1), K(m-2); K vanishes below lo
     for m in range(lo, hi + 1):
-        dims = [max(0, m - t + 1) for t in pres.target_twists]
         stratum = dual.stratum(m)
-        kernel = [
-            [v[(i, 0)] for i in range(v.rows)] for v in stratum.kernel_basis()
-        ]
-        span = RowSpan(sum(dims))
-        for vec in prev_kernel:
-            span.add(_shift_vector(vec, prev_dims, dims, by_t=False))
-            span.add(_shift_vector(vec, prev_dims, dims, by_t=True))
-        new = len(kernel) - span.rank
-        degrees.extend([m] * new)
+        k0 = stratum.cols - stratum.rank()
+        degrees.extend([m] * (k0 - 2 * k1 + k2))
         if len(degrees) == rank:
             break
-        prev_kernel, prev_dims = kernel, dims
+        k1, k2 = k0, k1
     if len(degrees) != rank:
         raise NotLocallyFreeError(
             f"cokernel not locally free: kernel module has {len(degrees)} "
             f"generators in the window, expected {rank}"
         )
     st = SplittingType(tuple(degrees))
-    want = sum(pres.target_twists) - sum(pres.source_twists)
     if st.degree != want:
         # the computed degrees describe the torsion-free quotient; a deficit
-        # is exactly the torsion length, so this settles local freeness even
-        # when the minor probe was inconclusive
+        # is exactly the torsion length
         raise NotLocallyFreeError(
             f"cokernel not locally free: degree sum {st.degree} != "
             f"twist difference {want} (torsion length {want - st.degree})"

@@ -8,7 +8,7 @@ from veronese.bundles import (
     VeroneseContext,
     VeroneseDegreeError,
     delta_matrix,
-    euler_column,
+    euler_presentation,
     k_bundle_stats,
     normal_presentation,
     power_column,
@@ -217,7 +217,7 @@ def test_euler_consistency():
     for n in (1, 2, 3):
         for d in (2, 3, 4):
             ctx = VeroneseContext(n, d)
-            comp = theta_matrix(ctx).compose(euler_column(n, source_twist=-d))
+            comp = theta_matrix(ctx).compose(euler_presentation(n).twist(-d))
             pc = power_column(ctx)
             want = GradedMap(
                 n + 1,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -120,6 +121,20 @@ def test_restrict_bad_curve_file_exit_3(tmp_path, capsys):
         ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path",
          str(tmp_path / "missing.json")]
     ) == 3
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [[1, 2], {"degree": 1}, {"degree": 1, "forms": None}, {"degree": 1, "forms": [1, 2, 3]}],
+)
+def test_restrict_malformed_curve_file_exit_3(tmp_path, capsys, blob):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(blob))
+    assert main(
+        ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "invalid curve" in err and "Traceback" not in err
 
 
 def test_slopes_schema_and_monotonic(capsys):

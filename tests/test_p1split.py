@@ -7,7 +7,6 @@ from veronese.p1split import (
     NotInjectiveError,
     NotLocallyFreeError,
     SplittingType,
-    _poly_det,
     h0_direct,
     splitting_type,
 )
@@ -229,6 +228,29 @@ def test_h0_direct_agrees_with_profile():
         assert st.h0_profile(-top - 2, top + 2) == [h0_direct(pres, m) for m in window]
 
 
+def _block_sum(a: GradedMap, b: GradedMap) -> GradedMap:
+    zero = HomPoly.zero(2, 0)
+    rows = [list(row) + [zero] * b.shape[1] for row in a.entries]
+    rows += [[zero] * a.shape[1] + list(row) for row in b.entries]
+    return GradedMap(
+        2, a.source_twists + b.source_twists, a.target_twists + b.target_twists, rows
+    )
+
+
+def test_block_sum_splits_as_union():
+    # the (2,4) and (3,3) line restrictions scan from different first degrees
+    # (4 and 3), so the sum's kernel generators interleave across the window
+    a = normal_presentation(VeroneseContext(2, 4)).pullback(random_line(2, 5))
+    b = normal_presentation(VeroneseContext(3, 3)).pullback(random_line(3, 6))
+    assert min(a.target_twists) != min(b.target_twists)
+    pres = _block_sum(a, b)
+    st = splitting_type(pres)
+    assert st == SplittingType(splitting_type(a).degrees + splitting_type(b).degrees)
+    top = max(st.degrees)
+    window = list(range(-top - 2, top + 3))
+    assert st.h0_profile(-top - 2, top + 2) == [h0_direct(pres, m) for m in window]
+
+
 # -- sym_square -------------------------------------------------------------------
 
 
@@ -252,19 +274,6 @@ def test_sym_square_rank_degree():
         sq = st.sym_square()
         assert sq.rank == r * (r + 1) // 2
         assert sq.degree == (r + 1) * st.degree
-
-
-# -- determinant helper ------------------------------------------------------------
-
-
-def test_poly_det_two_by_two():
-    det = _poly_det([[_s(), _t()], [_t(), _s()]], 2)
-    assert det == HomPoly.monomial(2, (2, 0)) - HomPoly.monomial(2, (0, 2))
-
-
-def test_poly_det_diagonal_sign():
-    det = _poly_det([[HomPoly.zero(2, 1), _s()], [_t(), HomPoly.zero(2, 1)]], 2)
-    assert det == HomPoly.monomial(2, (1, 1), -1)
 
 
 def test_json_output_shape():
