@@ -29,14 +29,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("VERONESE_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(_fail(EXIT_IO, f"VERONESE_SEED is not an integer: {raw!r}"))
-
-
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
@@ -96,8 +88,7 @@ def cmd_normal(args) -> int:
 # -- restrict ----------------------------------------------------------------
 
 
-def _curve_samples(args) -> tuple[list[tuple[int | None, CurveParam]], dict]:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _curve_samples(args, seed: int) -> tuple[list[tuple[int | None, CurveParam]], dict]:
     if args.curve == "file":
         if not args.path:
             raise OSError("--curve file requires --path")
@@ -118,8 +109,13 @@ def cmd_restrict(args) -> int:
     ctx = _context(args)
     if args.samples < 1:
         return _fail(EXIT_BAD_INPUT, "--samples must be >= 1")
+    raw = os.environ.get("VERONESE_SEED", "0")
     try:
-        samples, curve_info = _curve_samples(args)
+        seed = args.seed if args.seed is not None else int(raw)
+    except ValueError:
+        return _fail(EXIT_IO, f"VERONESE_SEED is not an integer: {raw!r}")
+    try:
+        samples, curve_info = _curve_samples(args, seed)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_IO, f"cannot load curve: {exc}")
     except (ValueError, BasePointError) as exc:
@@ -165,13 +161,12 @@ def cmd_restrict(args) -> int:
 
 def cmd_slopes(args) -> int:
     ctx = _context(args)
-    rows = []
-    for i in range(1, ctx.d + 2):
-        st = bundles.k_bundle_stats(ctx, i)
-        rows.append(
-            {"i": i, "rank": st.rank, "degree": st.degree, "slope": str(st.slope)}
-        )
-    slopes = [bundles.k_bundle_stats(ctx, i).slope for i in range(1, ctx.d + 2)]
+    stats = [bundles.k_bundle_stats(ctx, i) for i in range(1, ctx.d + 2)]
+    rows = [
+        {"i": i, "rank": st.rank, "degree": st.degree, "slope": str(st.slope)}
+        for i, st in enumerate(stats, start=1)
+    ]
+    slopes = [st.slope for st in stats]
     monotonic = (
         all(a < b for a, b in zip(slopes, slopes[1:])) and slopes[-1] == 0
     )

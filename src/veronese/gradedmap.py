@@ -345,17 +345,32 @@ class GradedMap:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GradedMap":
-        nv = int(obj["numVars"])
-        src = [int(x) for x in obj["sourceTwists"]]
-        tgt = [int(x) for x in obj["targetTwists"]]
-        rows = []
-        for i, row in enumerate(obj["entries"]):
-            prow = []
-            for j, text in enumerate(row):
-                deg = max(tgt[i] - src[j], 0)
-                prow.append(parse_poly(text, nv, deg))
-            rows.append(prow)
+    def from_json(cls, obj: object) -> "GradedMap":
+        """Parse the gradedmap v1 shape; a malformed blob raises ValueError.
+
+        The shape is checked by hand, mirroring gradedmap.schema.json, so
+        that parsing needs no schema validator at run time.
+        """
+        keys = ("numVars", "sourceTwists", "targetTwists", "entries")
+        if not isinstance(obj, dict) or set(obj) != set(keys):
+            raise ValueError(f"graded map must be a JSON object with exactly the keys {keys}")
+        nv, src, tgt, entries = (obj[k] for k in keys)
+        if type(nv) is not int or nv < 1:
+            raise ValueError(f"numVars must be an integer >= 1, got {nv!r}")
+        for name, tw in (("sourceTwists", src), ("targetTwists", tgt)):
+            if not isinstance(tw, list) or not all(type(x) is int for x in tw):
+                raise ValueError(f"{name} must be a list of integers")
+        if not isinstance(entries, list) or not all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row)
+            for row in entries
+        ):
+            raise ValueError("entries must be a list of lists of strings")
+        if len(entries) != len(tgt) or any(len(row) != len(src) for row in entries):
+            raise ValueError("entries must be len(targetTwists) x len(sourceTwists)")
+        rows = [
+            [parse_poly(text, nv, max(tgt[i] - src[j], 0)) for j, text in enumerate(row)]
+            for i, row in enumerate(entries)
+        ]
         return cls(nv, src, tgt, rows)
 
     def dumps(self) -> str:

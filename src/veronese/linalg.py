@@ -1,21 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  Everything downstream -- splitting types, dual identities,
-slope tables -- is decided by exact ranks and kernels, so no floating
-point ever enters.
+denominator); ranks, reduced row echelon forms and kernels all come from
+one fraction-free elimination.  Everything downstream -- splitting types,
+dual identities, slope tables -- is decided by exact ranks and kernels, so
+no floating point ever enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
-
-
-def _bitsize(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 class QMatrix:
@@ -110,47 +108,54 @@ class QMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns.
+    def _eliminate(self) -> tuple[list[list[int]], tuple[int, ...], int]:
+        """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-        Pivot selection takes the nonzero candidate of smallest combined
-        numerator/denominator bit size, which keeps intermediate entries
-        small on the integer matrices this package produces.
+        Each row is first scaled by the lcm of its denominators, which keeps
+        the row space and makes every entry an integer.  A step with pivot
+        p in column c replaces every other row by
+        (p * row - row[c] * pivot_row) // prev, prev being the pivot before
+        p.  By Sylvester's identity every entry is then a minor of the
+        integer matrix, so the division is exact.  Returns the integer rows,
+        the pivot columns and the last pivot d; every pivot row ends with d
+        at its own pivot column and 0 at the others, so rows / d is the RREF.
         """
-        m = [list(row) for row in self.data]
-        rows, cols = self.rows, self.cols
+        m = []
+        for row in self.data:
+            den = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
+        rows = len(m)
         pivots = []
-        r = 0
-        for c in range(cols):
+        prev = 1
+        for c in range(self.cols):
+            r = len(pivots)
             if r == rows:
                 break
-            best, best_sz = -1, None
-            for i in range(r, rows):
-                if m[i][c]:
-                    sz = _bitsize(m[i][c])
-                    if best_sz is None or sz < best_sz:
-                        best, best_sz = i, sz
-            if best < 0:
+            k = next((i for i in range(r, rows) if m[i][c]), None)
+            if k is None:
                 continue
-            m[r], m[best] = m[best], m[r]
-            piv = m[r][c]
-            if piv != 1:
-                inv = 1 / piv
-                m[r] = [x * inv for x in m[r]]
+            m[r], m[k] = m[k], m[r]
             prow = m[r]
+            p = prow[c]
             for i in range(rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    mi = m[i]
-                    for j in range(c, cols):
-                        if prow[j]:
-                            mi[j] -= f * prow[j]
+                f = m[i][c]
+                if i == r or (not f and p == prev):
+                    continue
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
+            prev = p
             pivots.append(c)
-            r += 1
-        return QMatrix(m, cols=cols), tuple(pivots)
+        return m, tuple(pivots), prev
+
+    def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
+        """Reduced row echelon form and pivot columns."""
+        m, pivots, d = self._eliminate()
+        return (
+            QMatrix([[Fraction(x, d) for x in row] for row in m], cols=self.cols),
+            pivots,
+        )
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self) -> list["QMatrix"]:
         """Basis of the right null space, as column vectors.
@@ -173,34 +178,23 @@ class QMatrix:
 class RowSpan:
     """Incrementally built row space with exact membership tests.
 
-    Vectors are reduced against the stored echelonized rows; ``add``
-    reports whether the vector enlarged the span.
+    ``add`` keeps a vector when it raises the rank of the stored rows and
+    reports whether it did.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
+        self._rows: list[list] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def add(self, vec: Sequence) -> bool:
-        v = [Fraction(x) for x in vec]
+        v = list(vec)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        for row, p in zip(self._rows, self._pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(p, self.dim):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        for p in range(self.dim):
-            if v[p]:
-                inv = 1 / v[p]
-                v = [x * inv for x in v]
-                self._rows.append(v)
-                self._pivots.append(p)
-                return True
-        return False
+        if QMatrix(self._rows + [v], cols=self.dim).rank() == self.rank:
+            return False
+        self._rows.append(v)
+        return True

@@ -78,35 +78,30 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
     return QMatrix([[cols[j][r] for j in range(len(cols))] for r in range(tgt_count)])
 
 
-def _dual_diag(dim: int, i: int) -> tuple[QMatrix, QMatrix]:
-    """Diagonal pairing matrices for (Sym^i W)^* vs Sym^i(W^*).
-
-    Returns (D, D_inv) with D[a][a] = i!/a!: abstract dual basis vectors of
-    monomials correspond to D times the dual-variable monomials.
-    """
-    monos = monomials(dim, i)
+def _dual_weights(dim: int, i: int) -> list[int]:
+    """Pairing weights i!/a! for (Sym^i W)^* vs Sym^i(W^*), one per monomial
+    a of degree i: the abstract dual basis vector of x^a is i!/a! times the
+    dual-variable monomial."""
     fi = factorial(i)
-    diag = []
-    for a in monos:
+    weights = []
+    for a in monomials(dim, i):
         fa = 1
         for e in a:
             fa *= factorial(e)
-        diag.append(Fraction(fi, fa))
-    n = len(monos)
-    d = QMatrix([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)])
-    dinv = QMatrix([[1 / diag[r] if r == c else 0 for c in range(n)] for r in range(n)])
-    return d, dinv
+        weights.append(fi // fa)
+    return weights
 
 
 def injection_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
     """Route one for Sym^i P^* -> Sym^i N^*: transpose Sym^i(psi), then
     translate abstract duals to monomials of the dual variables."""
     s = sym_power(ses.psi, i)
-    n_dim = ses.phi.rows
-    p_dim = ses.psi.rows
-    dn, _ = _dual_diag(n_dim, i)
-    _, dp_inv = _dual_diag(p_dim, i)
-    return dn * s.transpose() * dp_inv
+    w_n = _dual_weights(ses.phi.rows, i)
+    w_p = _dual_weights(ses.psi.rows, i)
+    return QMatrix(
+        [[w_n[r] * s[(c, r)] / w_p[c] for c in range(s.rows)] for r in range(s.cols)],
+        cols=s.rows,
+    )
 
 
 def injection_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
@@ -137,20 +132,19 @@ def _mult_injection(ses: LinearSES, i: int) -> QMatrix:
 
 def quotient_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
     """Route one for Sym^i N^* -> Sym^{i-1} N^* (x) M^*: dualize the
-    multiplication injection, with the pairing diagonals on both sides
+    multiplication injection, with the pairing weights on both sides
     (the M^* tensor factor pairs plainly)."""
     inj = _mult_injection(ses, i)
-    n_dim = ses.phi.rows
     m_dim = ses.phi.cols
-    dlow, _ = _dual_diag(n_dim, i - 1)
-    _, dn_inv = _dual_diag(n_dim, i)
-    # result = (D_low (x) I_M) * inj^T * D_N^{-1}, all diagonals explicit
-    injt = inj.transpose()
-    out = []
-    for r in range(injt.rows):
-        scale = dlow[(r // m_dim, r // m_dim)]
-        out.append([scale * injt[(r, c)] * dn_inv[(c, c)] for c in range(injt.cols)])
-    return QMatrix(out)
+    w_low = _dual_weights(ses.phi.rows, i - 1)
+    w_n = _dual_weights(ses.phi.rows, i)
+    return QMatrix(
+        [
+            [w_low[r // m_dim] * inj[(c, r)] / w_n[c] for c in range(inj.rows)]
+            for r in range(inj.cols)
+        ],
+        cols=inj.rows,
+    )
 
 
 def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:

@@ -220,3 +220,9 @@ def test_env_var_seed(capsys, monkeypatch):
     assert code == 0
     assert payload["samples"][0]["seed"] == 4
     assert payload["curve"]["seed"] == 4
+
+
+def test_env_var_seed_not_integer_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("VERONESE_SEED", "abc")
+    assert main(["restrict", "--n", "2", "--d", "2"]) == 3
+    assert "VERONESE_SEED is not an integer: 'abc'" in capsys.readouterr().err

@@ -249,6 +249,28 @@ def test_graded_map_json_round_trip():
         assert GradedMap.from_json(f.to_json()) == f
 
 
+_GOOD_MAP = {"numVars": 2, "sourceTwists": [0], "targetTwists": [1], "entries": [["Z0"]]}
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {},
+        {"numVars": 2},
+        [1],
+        {**_GOOD_MAP, "entries": [[5]]},
+        {**_GOOD_MAP, "entries": None},
+        {**_GOOD_MAP, "numVars": True},
+        {**_GOOD_MAP, "sourceTwists": ["0"]},
+        {**_GOOD_MAP, "entries": [["Z0"], ["Z1"]]},
+        {**_GOOD_MAP, "extra": 1},
+    ],
+)
+def test_graded_map_from_json_malformed_raises_value_error(blob):
+    with pytest.raises(ValueError):
+        GradedMap.from_json(blob)
+
+
 def test_curve_param_json_round_trip():
     for curve in (standard_line(3), random_line(2, 5), rnc(2, 7)):
         assert CurveParam.from_json(curve.to_json()) == curve

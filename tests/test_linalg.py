@@ -1,7 +1,75 @@
 from fractions import Fraction
 
+import pytest
+
 from veronese.linalg import QMatrix, RowSpan
 from veronese.prng import SplitMix64
+
+
+def _bitsize(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _reference_rref(rows, cols):
+    """Fraction Gauss-Jordan, pivoting on the candidate of smallest
+    numerator/denominator bit size: the elimination QMatrix used before it
+    went fraction-free, kept as an independent oracle."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        best, best_sz = -1, None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                sz = _bitsize(m[i][c])
+                if best_sz is None or sz < best_sz:
+                    best, best_sz = i, sz
+        if best < 0:
+            continue
+        m[r], m[best] = m[best], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def _random_entry(rng, rational):
+    num = rng.next_int(-6, 6)
+    return Fraction(num, rng.next_int(1, 5)) if rational else num
+
+
+def _oracle_matrices(count):
+    """Seeded matrices: integer and rational entries, low-rank products of
+    random factors, planted zero rows and columns, empty shapes, and
+    negative entries (so negative pivots) throughout."""
+    rng = SplitMix64(31)
+    for k in range(count):
+        rows, cols = rng.next_int(0, 7), rng.next_int(0, 7)
+        rational = k % 2 == 1
+        if k % 3 == 2 and rows and cols:
+            inner = rng.next_int(1, min(rows, cols))
+            a = [[_random_entry(rng, rational) for _ in range(inner)] for _ in range(rows)]
+            b = [[_random_entry(rng, rational) for _ in range(cols)] for _ in range(inner)]
+            m = [
+                [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
+                for i in range(rows)
+            ]
+        else:
+            m = [[_random_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+        if k % 5 == 4 and rows and cols:
+            zero_row, zero_col = rng.next_below(rows), rng.next_below(cols)
+            m[zero_row] = [0] * cols
+            for row in m:
+                row[zero_col] = 0
+        yield m, cols
 
 
 def test_rref_identity():
@@ -87,3 +155,50 @@ def test_rowspan_membership():
     assert span.rank == 2
     assert span.add([0, 0, 1])
     assert span.rank == 3
+
+
+def test_elimination_matches_fraction_reference():
+    shapes = set()
+    deficient = negative_pivot = 0
+    for rows, cols in _oracle_matrices(600):
+        m = QMatrix(rows, cols=cols)
+        ref_rows, ref_pivots = _reference_rref(rows, cols)
+        red, pivots = m.rref()
+        assert pivots == ref_pivots
+        assert red == QMatrix(ref_rows, cols=cols)
+        assert m.rank() == len(ref_pivots)
+        free = [c for c in range(cols) if c not in ref_pivots]
+        basis = m.kernel_basis()
+        assert len(basis) == len(free)
+        for fc, v in zip(free, basis):
+            for r, pc in enumerate(ref_pivots):
+                assert v[(pc, 0)] == -ref_rows[r][fc]
+            assert (m * v).is_zero()
+        shapes.add((m.rows == 0, m.cols == 0))
+        deficient += len(pivots) < min(m.rows, m.cols)
+        if pivots:
+            negative_pivot += next(row[pivots[0]] for row in rows if row[pivots[0]]) < 0
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+    assert deficient >= 50 and negative_pivot >= 50
+
+
+def test_rowspan_agrees_with_rank():
+    rng = SplitMix64(17)
+    for _ in range(100):
+        dim = rng.next_int(0, 6)
+        span = RowSpan(dim)
+        added = []
+        for _ in range(rng.next_int(1, 8)):
+            if added and rng.next_int(0, 2) == 0:
+                # an integer combination of earlier rows never enlarges the span
+                a, b = rng.next_below(len(added)), rng.next_below(len(added))
+                vec = [x + rng.next_int(-2, 2) * y for x, y in zip(added[a], added[b])]
+            else:
+                vec = [_random_entry(rng, rng.next_int(0, 1) == 1) for _ in range(dim)]
+            before = QMatrix(added, cols=dim).rank()
+            after = QMatrix(added + [vec], cols=dim).rank()
+            assert span.add(vec) == (after > before)
+            added.append(vec)
+            assert span.rank == after
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        RowSpan(3).add([1, 2])
