@@ -116,7 +116,7 @@ def cmd_restrict(args) -> int:
         return _fail(EXIT_IO, f"VERONESE_SEED is not an integer: {raw!r}")
     try:
         samples, curve_info = _curve_samples(args, seed)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         return _fail(EXIT_IO, f"cannot load curve: {exc}")
     except (ValueError, BasePointError) as exc:
         return _fail(EXIT_IO, f"invalid curve: {exc}")

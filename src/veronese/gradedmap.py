@@ -304,19 +304,22 @@ class GradedMap:
             rows,
         )
 
-    def stratum(self, m: int) -> QMatrix:
-        """Scalar matrix induced on degree-m sections.
+    def stratum_rows(self, m: int) -> tuple[list[list], int]:
+        """Rows and column count of the scalar matrix induced on degree-m sections.
 
         Source basis: per summand j, the monomials of degree m + s_j (empty
         when negative); target likewise with m + t_i.  Block (i, j) is
-        multiplication by entry (i, j).
+        multiplication by entry (i, j).  Integral coefficients are
+        accumulated as ints, so a presentation with integer coefficients
+        gives rows of ints; a Fraction enters only where a coefficient is
+        not integral.
         """
         nv = self.num_vars
         src_dims = [section_dim(nv, m + s) for s in self.source_twists]
         tgt_dims = [section_dim(nv, m + t) for t in self.target_twists]
         n_cols = sum(src_dims)
         n_rows = sum(tgt_dims)
-        mat = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+        mat = [[0] * n_cols for _ in range(n_rows)]
         row_off = 0
         for i, tdim in enumerate(tgt_dims):
             if tdim == 0:
@@ -326,13 +329,21 @@ class GradedMap:
             for j, sdim in enumerate(src_dims):
                 entry = self.entries[i][j]
                 if sdim and not entry.is_zero():
+                    terms = [
+                        (emono, c.numerator if c.denominator == 1 else c)
+                        for emono, c in entry.terms.items()
+                    ]
                     for cj, mono in enumerate(monomials(nv, m + self.source_twists[j])):
-                        for emono, c in entry.terms.items():
+                        for emono, c in terms:
                             prod = tuple(a + b for a, b in zip(mono, emono))
                             mat[row_off + tgt_index[prod]][col_off + cj] += c
                 col_off += sdim
             row_off += tdim
-        return QMatrix(mat, cols=n_cols)
+        return mat, n_cols
+
+    def stratum(self, m: int) -> QMatrix:
+        """The scalar matrix of `stratum_rows(m)`, with Fraction entries."""
+        return QMatrix(*self.stratum_rows(m))
 
     # -- serialization --------------------------------------------------------------
 

@@ -1,10 +1,16 @@
 """Dense exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator); ranks, reduced row echelon forms and kernels all come from
-one fraction-free elimination.  Everything downstream -- splitting types,
-dual identities, slope tables -- is decided by exact ranks and kernels, so
-no floating point ever enters.
+denominator).  Reduced row echelon forms and kernels come from one
+fraction-free elimination (Bareiss) of the rows with their denominators
+cleared.  Everything downstream -- splitting types, dual identities, slope
+tables -- is decided by exact ranks and kernels, so no floating point ever
+enters.
+
+``rank`` first eliminates modulo the fixed prime ``PRIME``.  Reduction
+mod p can only lose rank, rank_p <= rank_Q <= min(rows, cols), so a
+modular rank equal to min(rows, cols) is the exact rank; any smaller
+modular rank is discarded and the fraction-free elimination decides.
 """
 
 from __future__ import annotations
@@ -14,6 +20,104 @@ from math import lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
+
+# Below 2**30, so residues and the products of two of them stay small
+# CPython ints in the modular elimination.
+PRIME = 1073741789
+
+
+def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
+    """Rows scaled by the lcm of their denominators: integer rows with the
+    same row space.  Rows whose entries are all ints pass through as they are."""
+    out = []
+    for row in rows:
+        if not {int}.issuperset(map(type, row)):
+            den = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        out.append(row)
+    return out
+
+
+def _bareiss(m: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+
+    A step with pivot p in column c replaces every other row by
+    (p * row - row[c] * pivot_row) // prev, prev being the pivot before p.
+    By Sylvester's identity every entry is then a minor of the integer
+    matrix, so the division is exact.  Rows of `m` are replaced, never
+    mutated.  Returns the integer rows, the pivot columns and the last pivot
+    d; every pivot row ends with d at its own pivot column and 0 at the
+    others, so rows / d is the RREF.
+    """
+    rows = len(m)
+    pivots = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        k = next((i for i in range(r, rows) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(rows):
+            f = m[i][c]
+            if i == r or (not f and p == prev):
+                continue
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = p
+        pivots.append(c)
+    return m, tuple(pivots), prev
+
+
+def _rank_mod_p(m: list[Sequence[int]], cols: int) -> int:
+    """Rank of integer rows over GF(PRIME), by forward elimination.
+
+    Entries are reduced only when a row is updated, so a pivot is tested
+    as nonzero mod p.  Rows below the current pivot are kept only from the
+    column after the last pivot on, since their entries to its left are
+    zero mod p.
+    """
+    p = PRIME
+    work = list(m)
+    rows = len(work)
+    r = off = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        j = c - off
+        k = next((i for i in range(r, rows) if work[i][j] % p), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        prow = work[r]
+        inv = pow(prow[j], -1, p)
+        tail = prow[j + 1:]
+        for i in range(r + 1, rows):
+            row = work[i]
+            f = row[j] * inv % p
+            if f:
+                work[i] = [(a - f * b) % p for a, b in zip(row[j + 1:], tail)]
+            else:
+                work[i] = row[j + 1:]
+        r += 1
+        off = c + 1
+    return r
+
+
+def rank(rows: Iterable[Sequence], cols: int) -> int:
+    """Exact rank of a matrix given as rows of ints or Fractions.
+
+    The rank mod PRIME is returned when it equals min(rows, cols), where it
+    is exact; otherwise the fraction-free elimination gives the rank.
+    """
+    m = _integer_rows(rows)
+    full = min(len(m), cols)
+    if _rank_mod_p(m, cols) == full:
+        return full
+    return len(_bareiss(m, cols)[1])
 
 
 class QMatrix:
@@ -108,54 +212,16 @@ class QMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def _eliminate(self) -> tuple[list[list[int]], tuple[int, ...], int]:
-        """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
-
-        Each row is first scaled by the lcm of its denominators, which keeps
-        the row space and makes every entry an integer.  A step with pivot
-        p in column c replaces every other row by
-        (p * row - row[c] * pivot_row) // prev, prev being the pivot before
-        p.  By Sylvester's identity every entry is then a minor of the
-        integer matrix, so the division is exact.  Returns the integer rows,
-        the pivot columns and the last pivot d; every pivot row ends with d
-        at its own pivot column and 0 at the others, so rows / d is the RREF.
-        """
-        m = []
-        for row in self.data:
-            den = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (den // x.denominator) for x in row])
-        rows = len(m)
-        pivots = []
-        prev = 1
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == rows:
-                break
-            k = next((i for i in range(r, rows) if m[i][c]), None)
-            if k is None:
-                continue
-            m[r], m[k] = m[k], m[r]
-            prow = m[r]
-            p = prow[c]
-            for i in range(rows):
-                f = m[i][c]
-                if i == r or (not f and p == prev):
-                    continue
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
-            prev = p
-            pivots.append(c)
-        return m, tuple(pivots), prev
-
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns."""
-        m, pivots, d = self._eliminate()
+        m, pivots, d = _bareiss(_integer_rows(self.data), self.cols)
         return (
             QMatrix([[Fraction(x, d) for x in row] for row in m], cols=self.cols),
             pivots,
         )
 
     def rank(self) -> int:
-        return len(self._eliminate()[1])
+        return rank(self.data, self.cols)
 
     def kernel_basis(self) -> list["QMatrix"]:
         """Basis of the right null space, as column vectors.

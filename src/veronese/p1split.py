@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gradedmap import GradedMap
-from .linalg import QMatrix
+from . import linalg
 
 
 class NotInjectiveError(ValueError):
@@ -98,10 +98,8 @@ def _assert_injective(pres: GradedMap) -> None:
         raise NotInjectiveError("presentation not injective")
     for k in range(bound + 1):
         point = (1, k)
-        mat = QMatrix(
-            [[e.evaluate(point) for e in row] for row in pres.entries]
-        )
-        if mat.rank() == q:
+        rows = [[e.evaluate(point) for e in row] for row in pres.entries]
+        if linalg.rank(rows, q) == q:
             return
     raise NotInjectiveError("presentation not injective")
 
@@ -134,8 +132,8 @@ def splitting_type(pres: GradedMap) -> SplittingType:
     degrees: list[int] = []
     k1 = k2 = 0  # K(m-1), K(m-2); K vanishes below lo
     for m in range(lo, hi + 1):
-        stratum = dual.stratum(m)
-        k0 = stratum.cols - stratum.rank()
+        rows, cols = dual.stratum_rows(m)
+        k0 = cols - linalg.rank(rows, cols)
         degrees.extend([m] * (k0 - 2 * k1 + k2))
         if len(degrees) == rank:
             break
@@ -167,6 +165,6 @@ def h0_direct(pres: GradedMap, m: int) -> int:
         raise ValueError("h0_direct is specific to the projective line")
     h0_f0 = sum(max(0, t + m + 1) for t in pres.target_twists)
     h1_f1 = sum(max(0, -s - m - 1) for s in pres.source_twists)
-    rk_h0 = pres.stratum(m).rank()
-    rk_h1 = pres.dual().stratum(-m - 2).rank()
+    rk_h0 = linalg.rank(*pres.stratum_rows(m))
+    rk_h1 = linalg.rank(*pres.dual().stratum_rows(-m - 2))
     return (h0_f0 - rk_h0) + (h1_f1 - rk_h1)

@@ -297,7 +297,10 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         if negate:
             coeff = -coeff
         exps = [0] * num_vars

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -9,6 +10,7 @@ from referencing import Registry, Resource
 
 import veronese.verify as verify_mod
 from veronese.cli import main
+from veronese.prng import SplitMix64
 
 
 def _schema_validator(name: str) -> Draft202012Validator:
@@ -125,7 +127,13 @@ def test_restrict_bad_curve_file_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "blob",
-    [[1, 2], {"degree": 1}, {"degree": 1, "forms": None}, {"degree": 1, "forms": [1, 2, 3]}],
+    [
+        [1, 2],
+        {"degree": 1},
+        {"degree": 1, "forms": None},
+        {"degree": 1, "forms": [1, 2, 3]},
+        {"degree": 1, "forms": ["1/0*Z0", "Z1", "0"]},
+    ],
 )
 def test_restrict_malformed_curve_file_exit_3(tmp_path, capsys, blob):
     path = tmp_path / "malformed.json"
@@ -135,6 +143,80 @@ def test_restrict_malformed_curve_file_exit_3(tmp_path, capsys, blob):
     ) == 3
     err = capsys.readouterr().err
     assert "invalid curve" in err and "Traceback" not in err
+
+
+def test_restrict_deeply_nested_curve_file_exit_3(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(
+        ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "cannot load curve" in err and "Traceback" not in err
+
+
+def _valid_curve_blob(rng) -> dict:
+    degree = rng.next_int(1, 3)
+    forms = []
+    for _ in range(3):
+        terms = [
+            (rng.next_int(-3, 3), degree - k, k) for k in range(degree + 1)
+        ]
+        forms.append(" + ".join(f"{c}*Z0^{a}*Z1^{b}" for c, a, b in terms if c) or "0")
+    return {"degree": degree, "forms": forms}
+
+
+def _mutated_curve_texts(count):
+    """Seeded curve files for P^2, each a valid blob of degree <= 3 put
+    through one mutation; the mutations take turns, so each occurs."""
+    rng = SplitMix64(2718)
+    junk = [None, True, -1, 0, 2.5, "1", [], {}, [["Z0"]], "Z0"]
+
+    def pick(seq):
+        return seq[rng.next_below(len(seq))]
+
+    def garble(text):
+        if not text:
+            return "*"
+        i = rng.next_below(len(text))
+        return text[:i] + pick("^*/+-Z019 x(") + text[i + 1:]
+
+    mutations = [
+        lambda b: {k: v for k, v in b.items() if k != pick(["degree", "forms"])},
+        lambda b: {**b, pick(["extra", "Degree", ""]): pick(junk)},
+        lambda b: {**b, "degree": pick(junk + [10**30])},
+        lambda b: {**b, "forms": pick(junk)},
+        lambda b: {**b, "forms": b["forms"][:-1] + [pick(junk)]},
+        lambda b: {**b, "forms": [f[: rng.next_below(len(f) + 1)] for f in b["forms"]]},
+        lambda b: {**b, "forms": [garble(f) for f in b["forms"]]},
+        lambda b: {**b, "forms": [re.sub(r"^(-?\d+)", r"\1/0", f) for f in b["forms"]]},
+        lambda b: {**b, "forms": [f"Z0^{10**rng.next_int(1, 30)}"] + b["forms"][1:]},
+        lambda b: {**b, "forms": b["forms"][: rng.next_below(3)] + b["forms"] * rng.next_below(2)},
+    ]
+    for k in range(count):
+        kind = k % (len(mutations) + 2)
+        blob = _valid_curve_blob(rng)
+        if kind < len(mutations):
+            yield json.dumps(mutations[kind](blob))
+        elif kind == len(mutations):
+            text = json.dumps(blob)
+            yield text[: rng.next_below(len(text))]
+        else:
+            depth = rng.next_int(1, 100000)
+            yield "[" * depth + "]" * depth
+
+
+def test_restrict_fuzzed_curve_files_never_crash(tmp_path, capsys):
+    path = tmp_path / "fuzzed.json"
+    codes = set()
+    for text in _mutated_curve_texts(204):
+        path.write_text(text)
+        code = main(["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), text[:200]
+        assert "Traceback" not in err
+        codes.add(code)
+    assert codes == {0, 3}
 
 
 def test_slopes_schema_and_monotonic(capsys):

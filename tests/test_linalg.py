@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from veronese.linalg import QMatrix, RowSpan
+from veronese import linalg
+from veronese.linalg import PRIME, QMatrix, RowSpan, rank
 from veronese.prng import SplitMix64
 
 
@@ -167,6 +168,7 @@ def test_elimination_matches_fraction_reference():
         assert pivots == ref_pivots
         assert red == QMatrix(ref_rows, cols=cols)
         assert m.rank() == len(ref_pivots)
+        assert rank(rows, cols) == len(ref_pivots)
         free = [c for c in range(cols) if c not in ref_pivots]
         basis = m.kernel_basis()
         assert len(basis) == len(free)
@@ -202,3 +204,42 @@ def test_rowspan_agrees_with_rank():
             assert span.rank == after
     with pytest.raises(ValueError, match="dimension mismatch"):
         RowSpan(3).add([1, 2])
+
+
+def _fallback_matrices():
+    """Matrices whose rank mod PRIME is below min(rows, cols), so that
+    linalg.rank must fall back to the exact elimination: entries that are
+    multiples of PRIME, a determinant PRIME, a denominator PRIME, and
+    rank-deficient products whose first factor has a column of multiples
+    of PRIME."""
+    yield [[PRIME]], 1
+    yield [[1, 1], [1, 1 + PRIME]], 2
+    yield [[Fraction(1, PRIME), 1], [1, PRIME]], 2
+    rng = SplitMix64(61)
+    for k in range(60):
+        rows, cols = rng.next_int(2, 7), rng.next_int(2, 7)
+        if k % 2 == 0:
+            yield [[PRIME * rng.next_int(-6, 6) for _ in range(cols)] for _ in range(rows)], cols
+            continue
+        inner = rng.next_int(1, min(rows, cols) - 1)
+        a = [[_random_entry(rng, False) for _ in range(inner)] for _ in range(rows)]
+        b = [[_random_entry(rng, False) for _ in range(cols)] for _ in range(inner)]
+        for row in a:
+            row[0] *= PRIME
+        yield [
+            [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)
+        ], cols
+
+
+def test_rank_exact_when_modular_rank_drops():
+    dropped = 0
+    for rows, cols in _fallback_matrices():
+        _, ref_pivots = _reference_rref(rows, cols)
+        assert rank(rows, cols) == len(ref_pivots)
+        assert QMatrix(rows, cols=cols).rank() == len(ref_pivots)
+        assert linalg._rank_mod_p(linalg._integer_rows(rows), cols) < min(len(rows), cols)
+        dropped += linalg._rank_mod_p(linalg._integer_rows(rows), cols) < len(ref_pivots)
+    assert rank([[PRIME]], 1) == 1
+    # the modular rank is strictly below the exact one on most of them
+    assert dropped >= 40

@@ -2,7 +2,8 @@ import pytest
 
 from veronese.bundles import VeroneseContext, normal_presentation
 from veronese.curves import random_line, rnc, standard_line
-from veronese.gradedmap import GradedMap
+from veronese.gradedmap import CurveParam, GradedMap
+from veronese.linalg import PRIME
 from veronese.p1split import (
     NotInjectiveError,
     NotLocallyFreeError,
@@ -197,6 +198,38 @@ def test_generator_count_always_rank():
         made += 1
         assert st.rank == p - q
         assert st.degree == sum(tgt) - sum(src)
+
+
+def _reparametrized(curve: CurveParam, rng) -> CurveParam:
+    """The same curve composed with a random integer automorphism
+    (s, t) -> (as + bt, cs + dt) of the line."""
+    while True:
+        a, b, c, d = (rng.next_int(-5, 5) for _ in range(4))
+        if a * d - b * c:
+            break
+    sub = (HomPoly(2, 1, {(1, 0): a, (0, 1): b}), HomPoly(2, 1, {(1, 0): c, (0, 1): d}))
+    return CurveParam(curve.degree, tuple(f.substitute(sub) for f in curve.forms))
+
+
+@pytest.mark.parametrize(
+    "n, d, maker", [(2, 3, random_line), (2, 4, random_line), (3, 2, random_line), (2, 2, rnc), (3, 2, rnc)]
+)
+def test_splitting_type_metamorphic(n, d, maker):
+    """The splitting type along a curve is unchanged when every form is
+    multiplied by PRIME (the same map to P^n; every stratum is then 0 mod
+    PRIME, so every rank takes the exact fallback) and when the line is
+    reparametrized."""
+    pres = normal_presentation(VeroneseContext(n, d))
+    rng = SplitMix64(1000 * n + d)
+    for seed in (1, 2):
+        curve = maker(n, seed)
+        want = splitting_type(pres.pullback(curve))
+        scaled = pres.pullback(CurveParam(curve.degree, tuple(f * PRIME for f in curve.forms)))
+        rows, _ = scaled.dual().stratum_rows(max(want.degrees))
+        assert any(any(row) for row in rows)
+        assert all(x % PRIME == 0 for row in rows for x in row)
+        assert splitting_type(scaled) == want
+        assert splitting_type(pres.pullback(_reparametrized(curve, rng))) == want
 
 
 # -- h0 profile and direct cohomology --------------------------------------------
