@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .gradedmap import GradedMap
+from .linalg import exact
 from .poly import HomPoly, monomials
 
 
@@ -175,9 +176,9 @@ class DualIdentityReport:
     """Outcome of comparing dual(theta) with the (d-1)-step contraction."""
 
     ok: bool
-    row_scales: tuple[Fraction, ...]
+    row_scales: tuple[int | Fraction, ...]
     is_scalar: bool
-    scale: Fraction | None
+    scale: int | Fraction | None
     detail: str
 
     def to_json(self) -> dict:
@@ -221,7 +222,7 @@ def verify_dual_identity(ctx: VeroneseContext) -> DualIdentityReport:
                 continue
             if scale is None:
                 lead = a.sorted_terms()[0]
-                scale = b.coeff(lead[0]) / lead[1]
+                scale = exact(Fraction(b.coeff(lead[0]), lead[1]))
             if b != a * scale:
                 return DualIdentityReport(
                     False, tuple(scales), False, None,
@@ -234,7 +235,7 @@ def verify_dual_identity(ctx: VeroneseContext) -> DualIdentityReport:
         scales.append(scale)
     constant = len(set(scales)) == 1
     if constant:
-        expected = Fraction(factorial(ctx.d - 1))
+        expected = factorial(ctx.d - 1)
         mark = "= (d-1)!" if scales[0] == expected else f"!= (d-1)! = {expected}"
         detail = f"delta^{ctx.d - 1} = {scales[0]} * dual(theta); scalar diagonal {mark}"
     else:

@@ -37,7 +37,7 @@ class BasePointError(ValueError):
 # -- binary form gcd ----------------------------------------------------------
 
 
-def _univ_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _univ_gcd(a: list, b: list) -> list:
     """Monic gcd of univariate polynomials given as coefficient lists."""
 
     def trim(p):
@@ -49,7 +49,7 @@ def _univ_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while b:
         # remainder of a modulo b
         while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
+            f = Fraction(a[-1], b[-1])
             shift = len(a) - len(b)
             for i, c in enumerate(b):
                 a[i + shift] -= f * c
@@ -57,11 +57,11 @@ def _univ_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         a, b = b, a
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [Fraction(c, lead) for c in a]
     return a
 
 
-def _split_st_powers(f: HomPoly) -> tuple[int, int, list[Fraction]]:
+def _split_st_powers(f: HomPoly) -> tuple[int, int, list]:
     """Write a nonzero binary form as s^vs * t^vt * u(s) with u dehomogenized.
 
     Returns (vs, vt, coeffs of u by ascending s-power); u has nonzero
@@ -71,7 +71,7 @@ def _split_st_powers(f: HomPoly) -> tuple[int, int, list[Fraction]]:
     vs = min(m[0] for m in f.terms)
     vt = min(m[1] for m in f.terms)
     deg = f.degree - vs - vt
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (deg + 1)
     for (a, _b), c in f.terms.items():
         coeffs[a - vs] = c
     return vs, vt, coeffs
@@ -86,7 +86,7 @@ def binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
     if f.is_zero() or g.is_zero():
         h = g if f.is_zero() else f
         lead = h.sorted_terms()[0][1]
-        return h * (1 / lead)
+        return h * Fraction(1, lead)
     vs1, vt1, u1 = _split_st_powers(f)
     vs2, vt2, u2 = _split_st_powers(g)
     u = _univ_gcd(u1, u2)
@@ -309,10 +309,10 @@ class GradedMap:
 
         Source basis: per summand j, the monomials of degree m + s_j (empty
         when negative); target likewise with m + t_i.  Block (i, j) is
-        multiplication by entry (i, j).  Integral coefficients are
-        accumulated as ints, so a presentation with integer coefficients
-        gives rows of ints; a Fraction enters only where a coefficient is
-        not integral.
+        multiplication by entry (i, j).  The rows hold the entries'
+        coefficients as they are, so a presentation with integer
+        coefficients gives rows of ints; a Fraction enters only where a
+        coefficient is not integral.
         """
         nv = self.num_vars
         src_dims = [section_dim(nv, m + s) for s in self.source_twists]
@@ -329,12 +329,8 @@ class GradedMap:
             for j, sdim in enumerate(src_dims):
                 entry = self.entries[i][j]
                 if sdim and not entry.is_zero():
-                    terms = [
-                        (emono, c.numerator if c.denominator == 1 else c)
-                        for emono, c in entry.terms.items()
-                    ]
                     for cj, mono in enumerate(monomials(nv, m + self.source_twists[j])):
-                        for emono, c in terms:
+                        for emono, c in entry.terms.items():
                             prod = tuple(a + b for a, b in zip(mono, emono))
                             mat[row_off + tgt_index[prod]][col_off + cj] += c
                 col_off += sdim
@@ -342,7 +338,7 @@ class GradedMap:
         return mat, n_cols
 
     def stratum(self, m: int) -> QMatrix:
-        """The scalar matrix of `stratum_rows(m)`, with Fraction entries."""
+        """The scalar matrix of `stratum_rows(m)`."""
         return QMatrix(*self.stratum_rows(m))
 
     # -- serialization --------------------------------------------------------------

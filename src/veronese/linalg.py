@@ -1,11 +1,14 @@
 """Dense exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  Reduced row echelon forms and kernels come from one
-fraction-free elimination (Bareiss) of the rows with their denominators
-cleared.  Everything downstream -- splitting types, dual identities, slope
-tables -- is decided by exact ranks and kernels, so no floating point ever
-enters.
+Scalars follow one convention, decided only by ``exact``: an ``int`` when
+the value is integral, otherwise a ``fractions.Fraction`` in lowest terms
+with a positive denominator.  Integer data therefore stays in machine
+integers end to end, and a quotient of two scalars must be written
+``Fraction(a, b)``, since ``a / b`` of two ints is a float.  Reduced row
+echelon forms and kernels come from one fraction-free elimination
+(Bareiss) of the rows with their denominators cleared.  Everything
+downstream -- splitting types, dual identities, slope tables -- is decided
+by exact ranks and kernels, so no floating point ever enters.
 
 ``rank`` first eliminates modulo the fixed prime ``PRIME``.  Reduction
 mod p can only lose rank, rank_p <= rank_Q <= min(rows, cols), so a
@@ -24,6 +27,18 @@ Rat = Fraction
 # Below 2**30, so residues and the products of two of them stay small
 # CPython ints in the modular elimination.
 PRIME = 1073741789
+
+
+def exact(x) -> int | Fraction:
+    """The package's one scalar normalizer: x as an int when it is integral,
+    otherwise as a Fraction.  Floats are refused, so an int / int that
+    should have been Fraction(a, b) fails here instead of being rounded."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"inexact scalar {x!r}; divide with Fraction(a, b)")
+    q = x if type(x) is Fraction else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
@@ -121,14 +136,14 @@ def rank(rows: Iterable[Sequence], cols: int) -> int:
 
 
 class QMatrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals, entries normalized by `exact`."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
         """Rows of rationals; `cols` is required to disambiguate a matrix
         with zero rows but a positive number of columns."""
-        data = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        data = tuple(tuple(map(exact, row)) for row in entries)
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else (cols or 0)
@@ -148,7 +163,7 @@ class QMatrix:
     def column(cls, entries: Sequence) -> "QMatrix":
         return cls([[x] for x in entries])
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij) -> int | Fraction:
         i, j = ij
         return self.data[i][j]
 
@@ -182,7 +197,7 @@ class QMatrix:
             srow = self.data[i]
             orow = []
             for j in range(other.cols):
-                acc = Fraction(0)
+                acc = 0
                 for k in range(self.cols):
                     a = srow[k]
                     if a:
@@ -192,7 +207,7 @@ class QMatrix:
         return QMatrix(out, cols=other.cols)
 
     def scale(self, c) -> "QMatrix":
-        c = Fraction(c)
+        c = exact(c)
         return QMatrix([[c * x for x in row] for row in self.data], cols=self.cols)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
@@ -233,8 +248,8 @@ class QMatrix:
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
+            v = [0] * self.cols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.data[r][fc]
             basis.append(QMatrix.column(v))

@@ -1,5 +1,9 @@
 """Sparse homogeneous polynomials with exact rational coefficients.
 
+Coefficients follow the package's scalar convention (`linalg.exact`): an
+int when integral, otherwise a Fraction, so forms with integer
+coefficients are multiplied and substituted in int arithmetic.
+
 Variables are Z0..Z{k-1}; the projective line uses two variables, written
 (s, t) = (Z0, Z1) in prose but serialized with the same Z-names.  Monomials
 are exponent tuples; every polynomial carries an explicit degree so the
@@ -17,6 +21,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
+
+from .linalg import exact
 
 Monomial = tuple[int, ...]
 
@@ -57,9 +63,9 @@ class HomPoly:
             raise ValueError("need at least one variable")
         if degree < 0:
             raise ValueError("negative degree")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, int | Fraction] = {}
         for mono, c in terms.items():
-            c = Fraction(c)
+            c = exact(c)
             if not c:
                 continue
             if len(mono) != num_vars or any(e < 0 for e in mono):
@@ -98,8 +104,8 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coeff(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(mono), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,7 +134,7 @@ class HomPoly:
             raise ValueError("cannot add forms of different degrees")
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + c
+            acc = terms.get(mono, 0) + c
             if acc:
                 terms[mono] = acc
             else:
@@ -145,18 +151,18 @@ class HomPoly:
 
     def __mul__(self, other) -> "HomPoly":
         if not isinstance(other, HomPoly):
-            c = Fraction(other)
+            c = exact(other)
             return HomPoly(
                 self.num_vars, self.degree, {m: c * v for m, v in self.terms.items()}
             )
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
         deg = self.degree + other.degree
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                acc = terms.get(m, Fraction(0)) + c1 * c2
+                acc = terms.get(m, 0) + c1 * c2
                 if acc:
                     terms[m] = acc
                 else:
@@ -182,12 +188,12 @@ class HomPoly:
             raise ValueError("variable index out of range")
         if self.degree == 0:
             return HomPoly.zero(self.num_vars, 0)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for mono, c in self.terms.items():
             e = mono[i]
             if e:
                 m = mono[:i] + (e - 1,) + mono[i + 1 :]
-                terms[m] = terms.get(m, Fraction(0)) + c * e
+                terms[m] = terms.get(m, 0) + c * e
         return HomPoly(self.num_vars, self.degree - 1, terms)
 
     def substitute(self, forms: Sequence["HomPoly"]) -> "HomPoly":
@@ -225,19 +231,19 @@ class HomPoly:
             out = out + piece
         return out
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        vals = [Fraction(x) for x in point]
+    def evaluate(self, point: Sequence) -> int | Fraction:
+        vals = [exact(x) for x in point]
         if len(vals) != self.num_vars:
             raise ValueError("point dimension mismatch")
-        acc = Fraction(0)
+        acc = 0
         for mono, c in self.terms.items():
             term = c
             for v, e in zip(vals, mono):
                 term *= v**e
             acc += term
-        return acc
+        return exact(acc)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         order = monomial_index(self.num_vars, self.degree)
         return sorted(self.terms.items(), key=lambda kv: order[kv[0]])
 
@@ -287,7 +293,7 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
     if s.startswith("+"):
         s = s[1:]
     chunks = [c.strip() for c in s.split("+")]
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int | Fraction] = {}
     for chunk in chunks:
         if not chunk:
             raise ValueError(f"empty term in {text!r}")
@@ -298,7 +304,7 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse term {chunk!r}")
         try:
-            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            coeff = Fraction(m.group(1)) if m.group(1) else 1
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {chunk!r}") from None
         if negate:
@@ -318,5 +324,5 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
             raise ValueError(
                 f"term {chunk!r} has degree {sum(mono)}, expected {degree}"
             )
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        terms[mono] = terms.get(mono, 0) + coeff
     return HomPoly(num_vars, degree, terms)

@@ -71,7 +71,7 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
         for j, e in enumerate(a):
             for _ in range(e):
                 image = image * col_polys[j]
-        col = [Fraction(0)] * tgt_count
+        col = [0] * tgt_count
         for mono, c in image.terms.items():
             col[tgt_index[mono]] = c
         cols.append(col)
@@ -99,7 +99,7 @@ def injection_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
     w_n = _dual_weights(ses.phi.rows, i)
     w_p = _dual_weights(ses.psi.rows, i)
     return QMatrix(
-        [[w_n[r] * s[(c, r)] / w_p[c] for c in range(s.rows)] for r in range(s.cols)],
+        [[Fraction(w_n[r] * s[(c, r)], w_p[c]) for c in range(s.rows)] for r in range(s.cols)],
         cols=s.rows,
     )
 
@@ -120,7 +120,7 @@ def _mult_injection(ses: LinearSES, i: int) -> QMatrix:
     cols = []
     for b in src_monos:
         for k in range(m_dim):
-            col = [Fraction(0)] * tgt_count
+            col = [0] * tgt_count
             for j in range(n_dim):
                 c = ses.phi[(j, k)]
                 if c:
@@ -140,7 +140,7 @@ def quotient_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
     w_n = _dual_weights(ses.phi.rows, i)
     return QMatrix(
         [
-            [w_low[r // m_dim] * inj[(c, r)] / w_n[c] for c in range(inj.rows)]
+            [Fraction(w_low[r // m_dim] * inj[(c, r)], w_n[c]) for c in range(inj.rows)]
             for r in range(inj.cols)
         ],
         cols=inj.rows,
@@ -157,7 +157,7 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
     low_count = len(monomials(n_dim, i - 1))
     cols = []
     for a in src_monos:
-        col = [Fraction(0)] * (low_count * m_dim)
+        col = [0] * (low_count * m_dim)
         for j in range(n_dim):
             if not a[j]:
                 continue

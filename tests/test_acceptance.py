@@ -159,7 +159,7 @@ def test_criterion_9_property_suites():
 
 def test_full_corpus_agrees():
     # the CLI-facing corpus runs the same criteria and must agree
-    report = corpus.run_corpus("fast")
+    report = corpus.run_corpus("full")
     assert report["passed"], [
         c for c in report["checks"] if c["status"] == "fail"
     ]

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -308,3 +309,110 @@ def test_env_var_seed_not_integer_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("VERONESE_SEED", "abc")
     assert main(["restrict", "--n", "2", "--d", "2"]) == 3
     assert "VERONESE_SEED is not an integer: 'abc'" in capsys.readouterr().err
+
+
+_RECORDED = json.loads((Path(__file__).parent / "data" / "cli_outputs_v1.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "run", _RECORDED["runs"], ids=lambda run: " ".join(run["argv"]).replace("--", "")
+)
+def test_cli_output_matches_recording(run, capsys, monkeypatch, tmp_path):
+    """Byte-identical stdout against the recording in data/cli_outputs_v1.json;
+    the file run reads the recorded non-integral curve from the working
+    directory, so its path prints as 'curve.json'."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VERONESE_SEED", raising=False)
+    (tmp_path / "curve.json").write_text(json.dumps(_RECORDED["curveFile"]))
+    assert main(run["argv"]) == run["exit"]
+    assert capsys.readouterr().out == run["stdout"]
+
+
+def _fuzzed_argvs(count, tmp_path):
+    """Seeded argument vectors for all four subcommands.  Each starts valid
+    and most get one fault: a bad value (non-integer, negative, --d 0 or 1,
+    --samples 0, an unknown --format, --curve or --scope, an unreadable
+    path), a required flag dropped or left without its value, an unknown
+    flag or subcommand, or a stray word.  --curve file comes without --path
+    half the time.  Sizes stay at n, d <= 3 and --samples <= 2, and verify
+    only ever runs the fast scope."""
+    rng = SplitMix64(8128)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"degree": 1, "forms": ["Z0", "Z1", "Z0 + Z1"]}))
+    good = {
+        "--n": ["1", "2", "3"],
+        "--d": ["2", "3"],
+        "--curve": ["line", "rnc", "file"],
+        "--samples": ["1", "2"],
+        "--seed": ["0", "7", "-3"],
+        "--scope": ["fast"],
+        "--format": ["json", "table"],
+        "--out": [str(tmp_path / "out.txt")],
+    }
+    bad = {
+        "--n": ["0", "-1", "x", "1.5", ""],
+        "--d": ["0", "1", "-2", "two"],
+        "--curve": ["plane"],
+        "--path": [str(tmp_path / "missing.json"), str(tmp_path)],
+        "--samples": ["0", "-1", "z"],
+        "--seed": ["abc", "1e3"],
+        "--scope": ["quick", "FAST"],
+        "--format": ["xml", "", "JSON"],
+        "--out": [str(tmp_path)],
+    }
+    flags = {
+        "normal": ["--n", "--d", "--format", "--out"],
+        "slopes": ["--n", "--d", "--format", "--out"],
+        "restrict": ["--n", "--d", "--curve", "--path", "--samples", "--seed", "--format", "--out"],
+        "verify": ["--scope", "--format", "--out"],
+    }
+
+    def pick(seq):
+        return seq[rng.next_below(len(seq))]
+
+    for _ in range(count):
+        cmd = pick(list(flags))
+        opts = {
+            f: pick(good[f])
+            for f in flags[cmd]
+            if f in ("--n", "--d", "--curve") or f in good and rng.next_below(2)
+        }
+        if opts.get("--curve") == "file" and rng.next_below(2):
+            opts["--path"] = str(curve)
+        fault = rng.next_below(10)
+        if fault in (3, 4, 5, 6):
+            flag = pick(flags[cmd])
+            opts[flag] = pick(bad[flag])
+            if flag == "--path":
+                opts["--curve"] = "file"
+        elif fault == 7 and cmd != "verify":
+            del opts[pick(["--n", "--d"])]
+        argv = [cmd] + [x for item in opts.items() for x in item]
+        if fault == 8:
+            if rng.next_below(2) and len(argv) > 1:
+                argv.pop()
+            else:
+                argv.insert(rng.next_int(1, len(argv)), pick(["--bogus", "-x", "--samples=", "stray"]))
+        elif fault == 9:
+            argv[0] = pick(["frobnicate", "", "Normal"])
+        yield argv
+
+
+def test_fuzzed_argument_vectors_never_crash(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("VERONESE_SEED", raising=False)
+    outcomes, pairs, messages = set(), set(), []
+    for argv in _fuzzed_argvs(150, tmp_path):
+        pairs |= set(zip(argv, argv[1:]))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = "argparse"
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, "argparse"), argv
+        assert "Traceback" not in err, argv
+        outcomes.add(code)
+        messages.append(err)
+    assert outcomes == {0, 2, 3, "argparse"}
+    assert {("--d", "0"), ("--d", "1"), ("--samples", "0"), ("--format", "xml")} <= pairs
+    assert any("--curve file requires --path" in err for err in messages)
