@@ -15,20 +15,12 @@ from .prng import SplitMix64
 COEFF_LO, COEFF_HI = -9, 9
 
 
-def _s(coeff=1) -> HomPoly:
-    return HomPoly.variable(2, 0, coeff)
-
-
-def _t(coeff=1) -> HomPoly:
-    return HomPoly.variable(2, 1, coeff)
-
-
 def standard_line(n: int) -> CurveParam:
     """The line (s, t, 0, ..., 0) in P^n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    forms = [_s(), _t()] + [HomPoly.zero(2, 1) for _ in range(n - 1)]
-    return CurveParam(1, tuple(forms))
+    forms = [HomPoly.variable(2, 0), HomPoly.variable(2, 1)]
+    return CurveParam(1, tuple(forms + [HomPoly.zero(2, 1)] * (n - 1)))
 
 
 def random_line(n: int, seed: int) -> CurveParam:
@@ -43,15 +35,7 @@ def random_line(n: int, seed: int) -> CurveParam:
         ]
         if QMatrix(coeffs).rank() == 2:
             break
-    forms = []
-    for a, b in coeffs:
-        f = HomPoly(2, 1, {(1, 0): a, (0, 1): b})
-        forms.append(f)
-    return CurveParam(1, tuple(forms))
-
-
-def _monomial_curve_forms(n: int) -> list[HomPoly]:
-    return [HomPoly(2, n, {(n - k, k): 1}) for k in range(n + 1)]
+    return CurveParam(1, tuple(HomPoly(2, 1, {(1, 0): a, (0, 1): b}) for a, b in coeffs))
 
 
 def rnc(n: int, seed: int) -> CurveParam:
@@ -63,22 +47,18 @@ def rnc(n: int, seed: int) -> CurveParam:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    base = _monomial_curve_forms(n)
     if seed == 0:
-        return CurveParam(n, tuple(base))
-    rng = SplitMix64(seed)
-    while True:
-        rows = [
-            [rng.next_int(COEFF_LO, COEFF_HI) for _ in range(n + 1)]
-            for _ in range(n + 1)
-        ]
-        if QMatrix(rows).rank() == n + 1:
-            break
-    forms = []
-    for row in rows:
-        f = HomPoly.zero(2, n)
-        for c, mono in zip(row, base):
-            if c:
-                f = f + mono * c
-        forms.append(f)
-    return CurveParam(n, tuple(forms))
+        rows = QMatrix.identity(n + 1).data
+    else:
+        rng = SplitMix64(seed)
+        while True:
+            rows = [
+                [rng.next_int(COEFF_LO, COEFF_HI) for _ in range(n + 1)]
+                for _ in range(n + 1)
+            ]
+            if QMatrix(rows).rank() == n + 1:
+                break
+    forms = tuple(
+        HomPoly(2, n, {(n - k, k): c for k, c in enumerate(row) if c}) for row in rows
+    )
+    return CurveParam(n, forms)

@@ -22,6 +22,7 @@ from .poly import (
     parse_poly,
     render_poly,
     section_dim,
+    substitute_all,
 )
 from .linalg import QMatrix
 
@@ -294,9 +295,8 @@ class GradedMap:
                 f"curve lives in P^{curve.ambient_vars - 1}, map in P^{self.num_vars - 1}"
             )
         e = curve.degree
-        rows = [
-            [entry.substitute(curve.forms) for entry in row] for row in self.entries
-        ]
+        images = iter(substitute_all([f for row in self.entries for f in row], curve.forms))
+        rows = [[next(images) for _ in row] for row in self.entries]
         return GradedMap(
             2,
             tuple(e * s for s in self.source_twists),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import exact
@@ -197,39 +198,10 @@ class HomPoly:
         return HomPoly(self.num_vars, self.degree - 1, terms)
 
     def substitute(self, forms: Sequence["HomPoly"]) -> "HomPoly":
-        """Substitute one binary form per variable; result lives in (s, t).
-
-        All forms must share one degree e; the result is homogeneous of
-        degree e * deg(self).
-        """
-        if len(forms) != self.num_vars:
-            raise ValueError("need one form per variable")
-        degrees = {f.degree for f in forms}
-        if len(degrees) != 1:
-            raise ValueError("inhomogeneous parametrization")
-        nv = forms[0].num_vars
-        if any(f.num_vars != nv for f in forms):
-            raise ValueError("substitution forms disagree on variable count")
-        e = degrees.pop()
-        # cache powers of each form up to its maximal exponent
-        max_exp = [0] * self.num_vars
-        for mono in self.terms:
-            for i, a in enumerate(mono):
-                max_exp[i] = max(max_exp[i], a)
-        powers: list[list[HomPoly]] = []
-        for i, f in enumerate(forms):
-            row = [HomPoly.constant(nv, 1)]
-            for _ in range(max_exp[i]):
-                row.append(row[-1] * f)
-            powers.append(row)
-        out = HomPoly.zero(nv, e * self.degree)
-        for mono, c in self.terms.items():
-            piece = HomPoly.constant(nv, c)
-            for i, a in enumerate(mono):
-                if a:
-                    piece = piece * powers[i][a]
-            out = out + piece
-        return out
+        """Substitute forms[i] for Z_i: forms of one common degree e in any
+        number of variables; the result has degree e * deg(self).  See
+        `substitute_all`."""
+        return substitute_all([self], forms)[0]
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         vals = [exact(x) for x in point]
@@ -246,6 +218,53 @@ class HomPoly:
     def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         order = monomial_index(self.num_vars, self.degree)
         return sorted(self.terms.items(), key=lambda kv: order[kv[0]])
+
+
+def substitute_all(polys: Sequence[HomPoly], forms: Sequence[HomPoly]) -> list[HomPoly]:
+    """Substitute forms[i] for Z_i in every poly, one result per poly.
+
+    The forms share one degree e and one variable count; a poly of degree k
+    maps to degree e * k.  The image of each monomial Z^g is built once per
+    call, as the image of Z^(g - e_i) times forms[i] with i the first
+    nonzero exponent of g, and kept as a plain dict shared by all polys;
+    only the results are built as validated `HomPoly` objects.
+    """
+    if any(len(forms) != p.num_vars for p in polys):
+        raise ValueError("need one form per variable")
+    degrees = {f.degree for f in forms}
+    if len(degrees) != 1:
+        raise ValueError("inhomogeneous parametrization")
+    nv = forms[0].num_vars
+    if any(f.num_vars != nv for f in forms):
+        raise ValueError("substitution forms disagree on variable count")
+    e = degrees.pop()
+    factors = [list(f.terms.items()) for f in forms]
+    table: dict[Monomial, dict] = {(0,) * len(forms): {(0,) * nv: 1}}
+
+    def image(g: Monomial) -> dict[Monomial, int | Fraction]:
+        steps = []  # walk down to a known image, then multiply back up
+        while g not in table:
+            i = next(k for k, a in enumerate(g) if a)
+            steps.append((g, i))
+            g = g[:i] + (g[i] - 1,) + g[i + 1 :]
+        img = table[g]
+        for g, i in reversed(steps):
+            prod: dict[Monomial, int | Fraction] = {}
+            for m1, c1 in img.items():
+                for m2, c2 in factors[i]:
+                    m = tuple(map(add, m1, m2))
+                    prod[m] = prod.get(m, 0) + c1 * c2
+            table[g] = img = prod
+        return img
+
+    out = []
+    for p in polys:
+        terms: dict[Monomial, int | Fraction] = {}
+        for g, c in p.terms.items():
+            for m, v in image(g).items():
+                terms[m] = terms.get(m, 0) + c * v
+        out.append(HomPoly(nv, e * p.degree, terms))
+    return out
 
 
 # -- text format --------------------------------------------------------------

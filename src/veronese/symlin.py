@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .linalg import QMatrix
-from .poly import HomPoly, monomial_index, monomials
+from .poly import HomPoly, monomial_index, monomials, substitute_all
 from .prng import SplitMix64
 
 
@@ -53,29 +53,22 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
     """Matrix of the i-th symmetric power on monomial bases.
 
     A monomial x^a of the source maps to the product of the i-th powers of
-    the columns of f, expanded on the degree-i monomials of the target.
+    the columns of f, expanded on the degree-i monomials of the target:
+    column a is x^a with column j of f, as a linear form, substituted for
+    x_j.
     """
     if i < 1:
         raise ValueError("symmetric power degree must be >= 1")
     rows_dim = f.rows
-    cols = []
-    col_polys = [
-        HomPoly(rows_dim, 1, {tuple(1 if r == k else 0 for r in range(rows_dim)): f[(k, j)]
-                              for k in range(rows_dim) if f[(k, j)]})
+    unit = monomials(rows_dim, 1)
+    col_forms = [
+        HomPoly(rows_dim, 1, {unit[k]: f[(k, j)] for k in range(rows_dim)})
         for j in range(f.cols)
     ]
-    tgt_index = monomial_index(rows_dim, i)
-    tgt_count = len(monomials(rows_dim, i))
-    for a in monomials(f.cols, i):
-        image = HomPoly.constant(rows_dim, 1)
-        for j, e in enumerate(a):
-            for _ in range(e):
-                image = image * col_polys[j]
-        col = [0] * tgt_count
-        for mono, c in image.terms.items():
-            col[tgt_index[mono]] = c
-        cols.append(col)
-    return QMatrix([[cols[j][r] for j in range(len(cols))] for r in range(tgt_count)])
+    images = substitute_all(
+        [HomPoly.monomial(f.cols, a) for a in monomials(f.cols, i)], col_forms
+    )
+    return QMatrix([[image.coeff(mono) for image in images] for mono in monomials(rows_dim, i)])
 
 
 def _dual_weights(dim: int, i: int) -> list[int]:

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from veronese.bundles import VeroneseContext, normal_presentation
+from veronese.curves import random_line, rnc
 from veronese.poly import HomPoly, monomials, parse_poly, render_poly
 from veronese.prng import SplitMix64
 
@@ -116,6 +119,65 @@ def test_substitute_is_ring_homomorphism():
         p = _random_poly(rng, nv, rng.next_int(1, 3))
         q = _random_poly(rng, nv, rng.next_int(1, 3))
         assert (p * q).substitute(forms) == p.substitute(forms) * q.substitute(forms)
+
+
+def _reference_substitute(p, forms):
+    """Substitution by a per-call power cache: the powers of each form up to
+    its largest exponent in p, then one HomPoly product per term.  An
+    oracle for the shared product table of `substitute_all`."""
+    nv = forms[0].num_vars
+    max_exp = [0] * p.num_vars
+    for mono in p.terms:
+        for i, a in enumerate(mono):
+            max_exp[i] = max(max_exp[i], a)
+    powers = []
+    for i, f in enumerate(forms):
+        row = [HomPoly.constant(nv, 1)]
+        for _ in range(max_exp[i]):
+            row.append(row[-1] * f)
+        powers.append(row)
+    out = HomPoly.zero(nv, forms[0].degree * p.degree)
+    for mono, c in p.terms.items():
+        piece = HomPoly.constant(nv, c)
+        for i, a in enumerate(mono):
+            if a:
+                piece = piece * powers[i][a]
+        out = out + piece
+    return out
+
+
+def _random_form(rng, nv, deg):
+    """Zero one time in four; otherwise Fraction coefficients half the time."""
+    if not rng.next_below(4):
+        return HomPoly.zero(nv, deg)
+    den = rng.next_int(2, 3) if rng.next_below(2) else 1
+    return HomPoly(nv, deg, {m: Fraction(rng.next_int(-4, 4), den) for m in monomials(nv, deg)})
+
+
+def _assert_same_form(got, want):
+    assert (got.num_vars, got.degree, got.terms) == (want.num_vars, want.degree, want.terms)
+
+
+def test_substitute_matches_power_cache_reference():
+    rng = SplitMix64(80)
+    for _ in range(80):
+        nv = rng.next_int(2, 4)
+        e = rng.next_int(0, 3)
+        form_vars = rng.next_int(1, 3)
+        forms = [_random_form(rng, form_vars, e) for _ in range(nv)]
+        p = _random_poly(rng, nv, rng.next_int(0, 4))
+        _assert_same_form(p.substitute(forms), _reference_substitute(p, forms))
+    # a monomial of degree above the default recursion limit
+    p = HomPoly.monomial(2, (1200, 3))
+    forms = [HomPoly.variable(2, 0, 2), HomPoly(2, 1, {(1, 0): 1, (0, 1): -1})]
+    _assert_same_form(p.substitute(forms), _reference_substitute(p, forms))
+    for n, d in ((2, 3), (3, 2), (2, 4), (4, 2)):
+        pres = normal_presentation(VeroneseContext(n, d))
+        for curve in (random_line(n, rng.next_u64()), rnc(n, 0), rnc(n, rng.next_int(1, 99))):
+            pulled = pres.pullback(curve)
+            for row, pulled_row in zip(pres.entries, pulled.entries):
+                for entry, got in zip(row, pulled_row):
+                    _assert_same_form(got, _reference_substitute(entry, curve.forms))
 
 
 def test_render_parse_round_trip():

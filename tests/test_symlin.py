@@ -60,6 +60,22 @@ def test_sym_power_functorial():
         g = QMatrix([[rng.next_int(-3, 3) for _ in range(n)] for _ in range(n)])
         for i in (2, 3):
             assert sym_power(g * f, i) == sym_power(g, i) * sym_power(f, i)
+    # non-square g (k x m) and f (m x p), rational entries, a zero column
+    for trial in range(12):
+        k, m, p = (rng.next_int(1, 3) for _ in range(3))
+        g = QMatrix(
+            [[Fraction(rng.next_int(-3, 3), rng.next_int(1, 3)) for _ in range(m)] for _ in range(k)]
+        )
+        zero_col = rng.next_below(p) if trial % 2 else None
+        f = QMatrix(
+            [
+                [0 if j == zero_col else Fraction(rng.next_int(-3, 3), rng.next_int(1, 3)) for j in range(p)]
+                for _ in range(m)
+            ]
+        )
+        assert sym_power(f, 1) == f
+        for i in range(1, 5):
+            assert sym_power(g * f, i) == sym_power(g, i) * sym_power(f, i)
 
 
 def test_quotient_map_degree_one_is_phi_transpose():
