@@ -10,6 +10,7 @@ comes from the VERONESE_SEED environment variable when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,9 @@ def cmd_verify(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="veronese",
         description="Exact normal-bundle presentations, restrictions, and splitting types",

@@ -313,6 +313,10 @@ class GradedMap:
         coefficients as they are, so a presentation with integer
         coefficients gives rows of ints; a Fraction enters only where a
         coefficient is not integral.
+
+        For binary forms the index of (a, b) among the monomials of degree
+        a + b is b, so each block is a Toeplitz band: the term c * s^a t^b
+        of the entry lands at row b + cj of source column cj.
         """
         nv = self.num_vars
         src_dims = [section_dim(nv, m + s) for s in self.source_twists]
@@ -324,15 +328,21 @@ class GradedMap:
         for i, tdim in enumerate(tgt_dims):
             if tdim == 0:
                 continue
-            tgt_index = monomial_index(nv, m + self.target_twists[i])
+            if nv != 2:
+                tgt_index = monomial_index(nv, m + self.target_twists[i])
             col_off = 0
             for j, sdim in enumerate(src_dims):
                 entry = self.entries[i][j]
                 if sdim and not entry.is_zero():
-                    for cj, mono in enumerate(monomials(nv, m + self.source_twists[j])):
-                        for emono, c in entry.terms.items():
-                            prod = tuple(a + b for a, b in zip(mono, emono))
-                            mat[row_off + tgt_index[prod]][col_off + cj] += c
+                    if nv == 2:
+                        for (_, b), c in entry.terms.items():
+                            for cj in range(sdim):
+                                mat[row_off + b + cj][col_off + cj] = c
+                    else:
+                        for cj, mono in enumerate(monomials(nv, m + self.source_twists[j])):
+                            for emono, c in entry.terms.items():
+                                prod = tuple(a + b for a, b in zip(mono, emono))
+                                mat[row_off + tgt_index[prod]][col_off + cj] += c
                 col_off += sdim
             row_off += tdim
         return mat, n_cols

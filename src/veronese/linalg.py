@@ -5,15 +5,16 @@ the value is integral, otherwise a ``fractions.Fraction`` in lowest terms
 with a positive denominator.  Integer data therefore stays in machine
 integers end to end, and a quotient of two scalars must be written
 ``Fraction(a, b)``, since ``a / b`` of two ints is a float.  Reduced row
-echelon forms and kernels come from one fraction-free elimination
-(Bareiss) of the rows with their denominators cleared.  Everything
+echelon forms and kernels come from one fraction-free Gauss-Jordan
+elimination (Bareiss) of the rows with their denominators cleared.  Everything
 downstream -- splitting types, dual identities, slope tables -- is decided
 by exact ranks and kernels, so no floating point ever enters.
 
 ``rank`` first eliminates modulo the fixed prime ``PRIME``.  Reduction
 mod p can only lose rank, rank_p <= rank_Q <= min(rows, cols), so a
 modular rank equal to min(rows, cols) is the exact rank; any smaller
-modular rank is discarded and the fraction-free elimination decides.
+modular rank is discarded and a forward-only fraction-free elimination,
+which never clears above a pivot, decides.
 """
 
 from __future__ import annotations
@@ -122,17 +123,57 @@ def _rank_mod_p(m: list[Sequence[int]], cols: int) -> int:
     return r
 
 
+def _rank_fraction_free(m: list[Sequence[int]], cols: int) -> int:
+    """Exact rank of integer rows by forward one-step Bareiss elimination.
+
+    A step with pivot p replaces each row below it by
+    (p * row - row[c] * pivot_row) // prev, prev being the pivot before p;
+    as in `_bareiss`, every entry is then a minor, so the division is exact.
+    A row with 0 in the pivot column is still scaled, to p * row // prev.
+    Rows above the pivot are left alone, and rows below it are kept only
+    right of the pivot column, as in `_rank_mod_p`.
+    """
+    work = list(m)
+    rows = len(work)
+    r = off = 0
+    prev = 1
+    for c in range(cols):
+        if r == rows:
+            break
+        j = c - off
+        k = next((i for i in range(r, rows) if work[i][j]), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        prow = work[r]
+        p = prow[j]
+        tail = prow[j + 1:]
+        for i in range(r + 1, rows):
+            row = work[i]
+            f = row[j]
+            if f:
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row[j + 1:], tail)]
+            elif p != prev:
+                work[i] = [p * a // prev for a in row[j + 1:]]
+            else:
+                work[i] = row[j + 1:]
+        prev = p
+        r += 1
+        off = c + 1
+    return r
+
+
 def rank(rows: Iterable[Sequence], cols: int) -> int:
     """Exact rank of a matrix given as rows of ints or Fractions.
 
     The rank mod PRIME is returned when it equals min(rows, cols), where it
-    is exact; otherwise the fraction-free elimination gives the rank.
+    is exact; otherwise the forward fraction-free elimination gives the rank.
     """
     m = _integer_rows(rows)
     full = min(len(m), cols)
     if _rank_mod_p(m, cols) == full:
         return full
-    return len(_bareiss(m, cols)[1])
+    return _rank_fraction_free(m, cols)
 
 
 class QMatrix:

@@ -18,6 +18,17 @@ torsion-free quotient of E, so any deficit against sum(t) - sum(s) is
 precisely the torsion length.  With rank 0 there is no kernel module; the
 cokernel is then torsion of length sum(t) - sum(s), the degree of the
 determinant, and E = 0 exactly when the two twist sums agree.
+
+Degree-sum stop.  Before the stratum at twist m is built, K is known up to
+m-1, so every generator of degree < m is known.  The k generators still
+missing have degrees >= m, and their sum is want - (sum of the known
+degrees) - tau, where want = sum(t) - sum(s) and tau >= 0 is the torsion
+length.  If want - (sum of the known degrees) == m*k, then m*k <= m*k - tau
+forces tau = 0 and all k missing degrees equal m: the scan appends them
+and stops without building stratum m.  For a locally free cokernel this
+fires at m = max(b) at the latest, so the last and largest stratum of
+every scan is skipped.  With torsion the equality never holds, and the
+scan runs as before to its torsion diagnosis.
 """
 
 from __future__ import annotations
@@ -109,7 +120,8 @@ def splitting_type(pres: GradedMap) -> SplittingType:
 
     Scan window: every degree b of the cokernel satisfies
     min(t) <= b <= sum(t) - sum(s) - (rank-1)*min(t); the scan stops as
-    soon as rank-many generators are found.
+    soon as rank-many generators are found, or when the degree sum left
+    over admits only generators of the current degree (degree-sum stop).
     """
     if pres.num_vars != 2:
         raise ValueError("splitting types live on the projective line")
@@ -132,6 +144,13 @@ def splitting_type(pres: GradedMap) -> SplittingType:
     degrees: list[int] = []
     k1 = k2 = 0  # K(m-1), K(m-2); K vanishes below lo
     for m in range(lo, hi + 1):
+        # degrees holds every generator of degree < m; the other k have
+        # degree >= m and sum to want - sum(degrees) - torsion length, so
+        # equality with m * k forces no torsion and all k of degree m
+        k = rank - len(degrees)
+        if want - sum(degrees) == m * k:
+            degrees.extend([m] * k)
+            break
         rows, cols = dual.stratum_rows(m)
         k0 = cols - linalg.rank(rows, cols)
         degrees.extend([m] * (k0 - 2 * k1 + k2))

@@ -92,7 +92,10 @@ def injection_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
     w_n = _dual_weights(ses.phi.rows, i)
     w_p = _dual_weights(ses.psi.rows, i)
     return QMatrix(
-        [[Fraction(w_n[r] * s[(c, r)], w_p[c]) for c in range(s.rows)] for r in range(s.cols)],
+        [
+            [Fraction(w_n[r] * x, w_p[c]) if x else 0 for c, x in enumerate(col)]
+            for r, col in enumerate(zip(*s.data))
+        ],
         cols=s.rows,
     )
 
@@ -133,8 +136,8 @@ def quotient_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
     w_n = _dual_weights(ses.phi.rows, i)
     return QMatrix(
         [
-            [Fraction(w_low[r // m_dim] * inj[(c, r)], w_n[c]) for c in range(inj.rows)]
-            for r in range(inj.cols)
+            [Fraction(w_low[r // m_dim] * x, w_n[c]) if x else 0 for c, x in enumerate(col)]
+            for r, col in enumerate(zip(*inj.data))
         ],
         cols=inj.rows,
     )
@@ -155,10 +158,11 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
             if not a[j]:
                 continue
             b = a[:j] + (a[j] - 1,) + a[j + 1 :]
+            w = Fraction(a[j], i)
             for k in range(m_dim):
                 c = ses.phi[(j, k)]
                 if c:
-                    col[low_index[b] * m_dim + k] += Fraction(a[j], i) * c
+                    col[low_index[b] * m_dim + k] += w * c
         cols.append(col)
     return QMatrix(
         [[cols[j][r] for j in range(len(cols))] for r in range(low_count * m_dim)]

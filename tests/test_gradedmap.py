@@ -191,6 +191,66 @@ def test_stratum_functoriality_random():
         assert outer.compose(inner).stratum(m) == outer.stratum(m) * inner.stratum(m)
 
 
+def _product_stratum_rows(f: GradedMap, m: int) -> list[list]:
+    """Stratum of f at twist m built column by column from HomPoly products:
+    column (j, mono) holds entry(i, j) * Z^mono read off the target monomials."""
+    nv = f.num_vars
+    cols = []
+    for j, s in enumerate(f.source_twists):
+        for mono in monomials(nv, m + s):
+            col = []
+            for i, t in enumerate(f.target_twists):
+                entry = f.entries[i][j]
+                image = None if entry.is_zero() else entry * HomPoly.monomial(nv, mono)
+                col += [0 if image is None else image.coeff(g) for g in monomials(nv, m + t)]
+            cols.append(col)
+    n_rows = sum(len(monomials(nv, m + t)) for t in f.target_twists)
+    return [[col[r] for col in cols] for r in range(n_rows)]
+
+
+def test_binary_stratum_rows_match_products():
+    """The Toeplitz fill of binary strata against products of forms, with
+    negative twists, zero entries, Fraction coefficients and empty blocks."""
+    rng = SplitMix64(23)
+    kinds = set()
+    for _ in range(120):
+        q, p = rng.next_int(1, 3), rng.next_int(1, 4)
+        src = [rng.next_int(-4, 1) for _ in range(q)]
+        tgt = [max(src) + rng.next_int(0, 3) for _ in range(p)]
+        rows = []
+        for t in tgt:
+            row = []
+            for s in src:
+                terms = {}
+                if rng.next_below(4):
+                    for mono in monomials(2, t - s):
+                        c = rng.next_int(-3, 3)
+                        if c and rng.next_below(3) == 0:
+                            c = Fraction(c, rng.next_int(2, 5))
+                        if c:
+                            terms[mono] = c
+                row.append(HomPoly(2, t - s, terms))
+            rows.append(row)
+        f = GradedMap(2, src, tgt, rows)
+        m = rng.next_int(-max(tgt) - 2, 2 - min(src))
+        got, n_cols = f.stratum_rows(m)
+        want = _product_stratum_rows(f, m)
+        assert n_cols == sum(max(0, m + s + 1) for s in src)
+        assert got == want
+        assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+        if any(e.is_zero() for row in rows for e in row):
+            kinds.add("zero entry")
+        if min(src) < 0:
+            kinds.add("negative twist")
+        if any(type(x) is Fraction for row in got for x in row):
+            kinds.add("fraction")
+        if any(m + s < 0 for s in src) and n_cols:
+            kinds.add("empty block")
+        if not got or not n_cols:
+            kinds.add("empty stratum")
+    assert kinds == {"zero entry", "negative twist", "fraction", "empty block", "empty stratum"}
+
+
 def _contraction_stratum(f: GradedMap, m: int) -> QMatrix:
     """The adjoint of f's degree-m stratum under the differentiation pairing:
     entry (i, j) acts as the differential operator entry(i, j)(d/dZ)."""

@@ -232,7 +232,46 @@ def _fallback_matrices():
         ], cols
 
 
+def _scaled_pivot_matrices():
+    """Rank-deficient tall and wide integer matrices, so that linalg.rank
+    falls back to the exact elimination, in which a row below a pivot
+    p != prev has 0 in the pivot column and must still be scaled by p / prev.
+
+    The first two are hand-made.  In both, pivot 3 over prev 1 and then
+    pivot 2 over prev 3 have a zero below them, and the rows scaled by
+    2 / 3, which is not an integer, are needed for the rank.  The rest are
+    products of sparse integer factors with inner dimension below
+    min(rows, cols)."""
+    # last row = first + second
+    wide = [
+        [3, 1, 0, 1, 1, 1],
+        [1, 1, 1, 0, 1, 2],
+        [0, 1, 1, 1, 0, 1],
+        [3, 1, 1, 2, 1, 0],
+        [4, 2, 1, 1, 2, 3],
+    ]
+    # rank 3: row 2 = row 3 - row 0, row 4 = row 0 + row 1, row 5 = row 1
+    tall = [[3, 1, 0, 1], [1, 1, 1, 0], [0, 0, 1, 1], [3, 1, 1, 2], [4, 2, 1, 1], [1, 1, 1, 0]]
+    for m in (wide, tall):
+        yield m, len(m[0])
+    rng = SplitMix64(71)
+    for k in range(40):
+        small, large = rng.next_int(3, 6), rng.next_int(6, 9)
+        rows, cols = (large, small) if k % 2 else (small, large)
+        inner = rng.next_int(2, min(rows, cols) - 1)
+        a = [[rng.next_int(-4, 4) * rng.next_below(2) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.next_int(-4, 4) * rng.next_below(2) for _ in range(cols)] for _ in range(inner)]
+        yield [
+            [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)
+        ], cols
+
+
 def test_rank_exact_when_modular_rank_drops():
+    for rows, cols in _scaled_pivot_matrices():
+        want = len(QMatrix(rows, cols=cols).rref()[1])
+        assert want < min(len(rows), cols)
+        assert rank(rows, cols) == want
     dropped = 0
     for rows, cols in _fallback_matrices():
         _, ref_pivots = _reference_rref(rows, cols)

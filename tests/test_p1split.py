@@ -3,11 +3,12 @@ import pytest
 from veronese.bundles import VeroneseContext, normal_presentation
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import CurveParam, GradedMap
-from veronese.linalg import PRIME
+from veronese.linalg import PRIME, rank as rank_of
 from veronese.p1split import (
     NotInjectiveError,
     NotLocallyFreeError,
     SplittingType,
+    _assert_injective,
     h0_direct,
     splitting_type,
 )
@@ -170,27 +171,35 @@ def test_recovers_known_splitting_through_disguise():
         assert splitting_type(pres).degrees == truth
 
 
+def _random_binary_presentation(rng) -> GradedMap:
+    """A random p x q map of binary forms, p > q; often not injective or
+    with torsion in its cokernel."""
+    q = rng.next_int(1, 2)
+    p = q + rng.next_int(1, 2)
+    src = sorted(rng.next_int(-2, 0) for _ in range(q))
+    tgt = sorted(max(src) + rng.next_int(0, 2) for _ in range(p))
+    rows = []
+    for i in range(p):
+        row = []
+        for j in range(q):
+            deg = tgt[i] - src[j]
+            terms = {}
+            for mono in monomials(2, deg):
+                c = rng.next_int(-3, 3)
+                if c:
+                    terms[mono] = c
+            row.append(HomPoly(2, deg, terms))
+        rows.append(row)
+    return GradedMap(2, src, tgt, rows)
+
+
 def test_generator_count_always_rank():
     rng = SplitMix64(42)
     made = 0
     while made < 25:
-        q = rng.next_int(1, 2)
-        p = q + rng.next_int(1, 2)
-        src = sorted(rng.next_int(-2, 0) for _ in range(q))
-        tgt = sorted(max(src) + rng.next_int(0, 2) for _ in range(p))
-        rows = []
-        for i in range(p):
-            row = []
-            for j in range(q):
-                deg = tgt[i] - src[j]
-                terms = {}
-                for mono in monomials(2, deg):
-                    c = rng.next_int(-3, 3)
-                    if c:
-                        terms[mono] = c
-                row.append(HomPoly(2, deg, terms))
-            rows.append(row)
-        pres = GradedMap(2, src, tgt, rows)
+        pres = _random_binary_presentation(rng)
+        p, q = pres.shape
+        tgt, src = pres.target_twists, pres.source_twists
         try:
             st = splitting_type(pres)
         except (NotInjectiveError, NotLocallyFreeError):
@@ -198,6 +207,88 @@ def test_generator_count_always_rank():
         made += 1
         assert st.rank == p - q
         assert st.degree == sum(tgt) - sum(src)
+
+
+def _full_scan_splitting_type(pres: GradedMap) -> SplittingType:
+    """splitting_type without the degree-sum stop: the scan reads every
+    stratum until rank-many generators are found.  Kept as the oracle for
+    the stop."""
+    _assert_injective(pres)
+    p, q = pres.shape
+    rank = p - q
+    if q == 0:
+        return SplittingType(pres.target_twists)
+    want = sum(pres.target_twists) - sum(pres.source_twists)
+    if rank == 0:
+        if want != 0:
+            raise NotLocallyFreeError(
+                f"cokernel not locally free: torsion length {want}"
+            )
+        return SplittingType(())
+    dual = pres.dual()
+    lo = min(pres.target_twists)
+    hi = want - (rank - 1) * lo
+    degrees: list[int] = []
+    k1 = k2 = 0
+    for m in range(lo, hi + 1):
+        rows, cols = dual.stratum_rows(m)
+        k0 = cols - rank_of(rows, cols)
+        degrees.extend([m] * (k0 - 2 * k1 + k2))
+        if len(degrees) == rank:
+            break
+        k1, k2 = k0, k1
+    if len(degrees) != rank:
+        raise NotLocallyFreeError(
+            f"cokernel not locally free: kernel module has {len(degrees)} "
+            f"generators in the window, expected {rank}"
+        )
+    st = SplittingType(tuple(degrees))
+    if st.degree != want:
+        raise NotLocallyFreeError(
+            f"cokernel not locally free: degree sum {st.degree} != "
+            f"twist difference {want} (torsion length {want - st.degree})"
+        )
+    return st
+
+
+def _outcome(fn, pres):
+    try:
+        return fn(pres)
+    except (NotInjectiveError, NotLocallyFreeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_degree_sum_stop_matches_full_scan():
+    rng = SplitMix64(42)
+    kinds = set()
+    for _ in range(100):
+        pres = _random_binary_presentation(rng)
+        got = _outcome(splitting_type, pres)
+        assert got == _outcome(_full_scan_splitting_type, pres)
+        kinds.add(got[0] if isinstance(got, tuple) else SplittingType)
+    assert kinds == {SplittingType, NotInjectiveError, NotLocallyFreeError}
+    for pres, _ in (_disguised_presentation(SplitMix64(k)) for k in range(20)):
+        assert splitting_type(pres) == _full_scan_splitting_type(pres)
+
+
+@pytest.mark.parametrize("n, d, maker", [(2, 6, random_line), (4, 2, rnc)])
+def test_degree_sum_stop_skips_top_stratum(monkeypatch, n, d, maker):
+    """For a locally free cokernel no stratum at twist max(b) is built;
+    the full scan builds it."""
+    pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 9))
+    built = []
+    stratum_rows = GradedMap.stratum_rows
+
+    def counting(self, m):
+        built.append(m)
+        return stratum_rows(self, m)
+
+    monkeypatch.setattr(GradedMap, "stratum_rows", counting)
+    st = splitting_type(pres)
+    assert built and max(built) < max(st.degrees)
+    built.clear()
+    assert _full_scan_splitting_type(pres) == st
+    assert max(built) == max(st.degrees)
 
 
 def _reparametrized(curve: CurveParam, rng) -> CurveParam:
