@@ -24,7 +24,7 @@ from math import comb, factorial
 
 from .gradedmap import GradedMap
 from .linalg import exact
-from .poly import HomPoly, monomials
+from .poly import HomPoly, monomial_index, monomials
 
 
 class VeroneseDegreeError(ValueError):
@@ -95,30 +95,14 @@ def xi_matrix(ctx: VeroneseContext, i: int) -> GradedMap:
         raise ValueError(f"xi index {i} outside 1..{ctx.d}")
     nv = ctx.num_vars
     cols = monomials(nv, i)
-    rows = []
-    for b in monomials(nv, i - 1):
-        row = []
-        for g in cols:
-            j = _single_step(b, g)
-            if j is None:
-                row.append(HomPoly.zero(nv, 1))
-            else:
-                row.append(HomPoly.variable(nv, j, g[j]))
-        rows.append(row)
+    row_of = monomial_index(nv, i - 1)
+    rows = [[HomPoly.zero(nv, 1)] * len(cols) for _ in row_of]
+    for c, g in enumerate(cols):
+        for j, gj in enumerate(g):
+            if gj:
+                b = g[:j] + (gj - 1,) + g[j + 1 :]
+                rows[row_of[b]][c] = HomPoly.variable(nv, j, gj)
     return GradedMap(nv, [ctx.d - i] * len(cols), [ctx.d - i + 1] * len(rows), rows)
-
-
-def _single_step(b: tuple, g: tuple):
-    """Index j with g = b + e_j, or None."""
-    j = None
-    for k, (x, y) in enumerate(zip(b, g)):
-        if y == x + 1:
-            if j is not None:
-                return None
-            j = k
-        elif y != x:
-            return None
-    return j
 
 
 def delta_matrix(ctx: VeroneseContext, i: int) -> GradedMap:
@@ -138,7 +122,7 @@ class KBundleStats:
     i: int
     rank: int
     degree: int
-    slope: Fraction
+    slope: int | Fraction
 
 
 def k_bundle_stats(ctx: VeroneseContext, i: int) -> KBundleStats:
@@ -152,7 +136,7 @@ def k_bundle_stats(ctx: VeroneseContext, i: int) -> KBundleStats:
     quotient_rank = comb(ctx.n + ctx.d - i, ctx.d - i) if i <= ctx.d else 0
     rank = ctx.sym_dim - quotient_rank
     degree = -i * quotient_rank
-    return KBundleStats(i, rank, degree, Fraction(degree, rank))
+    return KBundleStats(i, rank, degree, exact(Fraction(degree, rank)))
 
 
 def euler_presentation(n: int) -> GradedMap:

@@ -2,7 +2,8 @@
 
 A ChowClass is a power series in the hyperplane class, truncated modulo
 the (n+1)-st power.  Division is multiplication by the truncated inverse,
-exact over the rationals.
+exact over the rationals.  Every scalar follows `linalg.exact`: an int when
+it is integral, otherwise a Fraction.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+
 from .bundles import VeroneseContext
 from .gradedmap import GradedMap
+from .linalg import exact
 from .p1split import SplittingType
 
 
@@ -20,29 +23,29 @@ class ChowClass:
     """Polynomial in the hyperplane class xi modulo xi^(n+1)."""
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        c = tuple(Fraction(x) for x in self.coeffs)
+        c = tuple(exact(x) for x in self.coeffs)
         if len(c) != self.n + 1:
             raise ValueError("need n+1 coefficients")
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def one(cls, n: int) -> "ChowClass":
-        return cls(n, (Fraction(1),) + (Fraction(0),) * n)
+        return cls(n, (1,) + (0,) * n)
 
     @classmethod
     def line(cls, n: int, a) -> "ChowClass":
         """The class 1 + a*xi (total Chern class of O(a))."""
-        coeffs = [Fraction(1), Fraction(a)] + [Fraction(0)] * (n - 1)
+        coeffs = [1, a] + [0] * (n - 1)
         return cls(n, tuple(coeffs[: n + 1]))
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
         n = self.n
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -70,13 +73,13 @@ class ChowClass:
         if not a0:
             raise ZeroDivisionError("no inverse: constant term is zero")
         n = self.n
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / a0
+        inv = [0] * (n + 1)
+        inv[0] = Fraction(1, a0)
         for k in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, k + 1):
                 acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / a0
+            inv[k] = Fraction(-acc, a0)
         return ChowClass(n, tuple(inv))
 
 
@@ -84,7 +87,7 @@ class ChowClass:
 class BundleStats:
     rank: int
     degree: int
-    slope: Fraction
+    slope: int | Fraction
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "degree": self.degree, "slope": str(self.slope)}
@@ -94,10 +97,10 @@ class BundleStats:
 class HilbertPoly:
     """chi(E(m)) = sum_i alphas[i] * m^i / i!."""
 
-    alphas: tuple[Fraction, ...]
+    alphas: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        a = tuple(Fraction(x) for x in self.alphas)
+        a = tuple(exact(x) for x in self.alphas)
         while len(a) > 1 and not a[-1]:
             a = a[:-1]
         object.__setattr__(self, "alphas", a)
@@ -106,11 +109,11 @@ class HilbertPoly:
     def dim(self) -> int:
         return len(self.alphas) - 1
 
-    def evaluate(self, m) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, m) -> int | Fraction:
+        acc = 0
         for i, a in enumerate(self.alphas):
-            acc += a * Fraction(m) ** i / factorial(i)
-        return acc
+            acc += Fraction(a * m**i, factorial(i))
+        return exact(acc)
 
     def to_json(self) -> dict:
         return {"alphas": [str(a) for a in self.alphas]}
@@ -128,28 +131,28 @@ def normal_stats(ctx: VeroneseContext) -> BundleStats:
     """Rank, degree (first Chern coefficient), and slope of the normal bundle."""
     rank = ctx.sym_dim - ctx.n - 1
     degree = ctx.sym_dim * ctx.d - (ctx.n + 1)
-    return BundleStats(rank, degree, Fraction(degree, rank))
+    return BundleStats(rank, degree, exact(Fraction(degree, rank)))
 
 
-def _binom_poly(n: int, a: int) -> list[Fraction]:
+def _binom_poly(n: int, a: int) -> list[int | Fraction]:
     """Coefficients of C(n + a + m, n) as a polynomial in m."""
     # product (m + a + k) for k = 1..n, divided by n!
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, n + 1):
-        shift = Fraction(a + k)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        shift = a + k
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += c * shift
             nxt[i + 1] += c
         coeffs = nxt
     fn = factorial(n)
-    return [c / fn for c in coeffs]
+    return [exact(Fraction(c, fn)) for c in coeffs]
 
 
 def hilbert_poly(pres: GradedMap) -> HilbertPoly:
     """Hilbert polynomial of the cokernel, additive over the presentation."""
     n = pres.num_vars - 1
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for t in pres.target_twists:
         for i, c in enumerate(_binom_poly(n, t)):
             coeffs[i] += c

@@ -2,8 +2,10 @@
 
 Each check is exact (no tolerances anywhere); a check either recomputes a
 closed form, compares polynomial matrices entrywise, or matches a frozen
-golden file.  `fast` scope runs reduced parameter sets for a quick gate;
-`full` scope runs the complete corpus.
+golden file.  It is a function returning (ok, detail), declared once in
+`_CHECKS` with its `fast` arguments (a reduced parameter set for a quick
+gate) and its `full` ones (the complete corpus); `corpus(scope)` and the
+report follow that table's order.
 
 Slope semistability of the normal bundle for general (n, d) is not decided
 by an algorithm here; it is evidenced by the necessary-condition checks
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from math import factorial
 
@@ -53,8 +57,17 @@ def _line_multiset(n: int) -> tuple[int, ...]:
     )
 
 
-def _restrict_normal(ctx: VeroneseContext, curve: CurveParam) -> p1split.SplittingType:
-    return p1split.splitting_type(bundles.normal_presentation(ctx).pullback(curve))
+def _restrictions(
+    ctx: VeroneseContext, samples: list[CurveParam]
+) -> Iterator[p1split.SplittingType]:
+    """Splitting types of the normal bundle of ctx along each curve, in order.
+
+    The presentation is built once; each restriction is computed only when
+    the caller asks for it, so a check that stops early does no more work.
+    """
+    pres = bundles.normal_presentation(ctx)
+    for curve in samples:
+        yield p1split.splitting_type(pres.pullback(curve))
 
 
 # -- individual checks ----------------------------------------------------------
@@ -62,9 +75,9 @@ def _restrict_normal(ctx: VeroneseContext, curve: CurveParam) -> p1split.Splitti
 
 def check_rnc_balanced(ds) -> tuple[bool, str]:
     """n = 1: restriction along the identity splits as (d+2) repeated d-1 times."""
-    ident = curves.standard_line(1)
+    ident = [curves.standard_line(1)]
     for d in ds:
-        st = _restrict_normal(VeroneseContext(1, d), ident)
+        (st,) = _restrictions(VeroneseContext(1, d), ident)
         if st.degrees != (d + 2,) * (d - 1):
             return False, f"d={d}: got {st.degrees}"
     return True, f"d in {tuple(ds)}: splitting (d+2)^(d-1), exact"
@@ -72,47 +85,38 @@ def check_rnc_balanced(ds) -> tuple[bool, str]:
 
 def check_line_restriction_d2(ns, n_lines: int) -> tuple[bool, str]:
     """d = 2 on lines: degrees 4, 3^(n-1), 2^(n(n-1)/2), standard line included."""
-    total = 0
     for n in ns:
-        ctx = VeroneseContext(n, 2)
         want = _line_multiset(n)
         samples = [curves.standard_line(n)] + [
             curves.random_line(n, seed) for seed in range(1, n_lines + 1)
         ]
-        for k, line in enumerate(samples):
-            st = _restrict_normal(ctx, line)
+        for k, st in enumerate(_restrictions(VeroneseContext(n, 2), samples)):
             if st.degrees != want:
                 return False, f"n={n} sample {k}: got {st.degrees}, want {want}"
-            total += 1
-    return True, f"{total} line restrictions, all exact"
+    return True, f"{len(ns) * (n_lines + 1)} line restrictions, all exact"
 
 
 def check_rnc_restriction_d2(ns, n_curves: int) -> tuple[bool, str]:
     """d = 2 on rational normal curves: (2n+2) repeated n(n+1)/2 times."""
-    total = 0
     for n in ns:
-        ctx = VeroneseContext(n, 2)
         want = (2 * n + 2,) * (n * (n + 1) // 2)
-        for seed in range(n_curves):
-            st = _restrict_normal(ctx, curves.rnc(n, seed))
+        samples = [curves.rnc(n, seed) for seed in range(n_curves)]
+        for seed, st in enumerate(_restrictions(VeroneseContext(n, 2), samples)):
             if st.degrees != want:
                 return False, f"n={n} seed {seed}: got {st.degrees}"
-            total += 1
-    return True, f"{total} rational-normal-curve restrictions, all exact"
+    return True, f"{len(ns) * n_curves} rational-normal-curve restrictions, all exact"
 
 
 def check_grauert_mulich_chern(cases, n_lines: int) -> tuple[bool, str]:
     """Random lines: spread <= 1, degree sum and rank match the Chern data."""
-    total = 0
     for n, d in cases:
         ctx = VeroneseContext(n, d)
-        for seed in range(1, n_lines + 1):
-            st = _restrict_normal(ctx, curves.random_line(n, seed))
+        samples = [curves.random_line(n, seed) for seed in range(1, n_lines + 1)]
+        for seed, st in enumerate(_restrictions(ctx, samples), start=1):
             rep = chow.gm_check(st, ctx)
             if not rep.all_ok:
                 return False, f"(n,d)=({n},{d}) seed {seed}: {rep.to_json()}"
-            total += 1
-    return True, f"{total} restrictions pass spread/sum/rank"
+    return True, f"{len(cases) * n_lines} restrictions pass spread/sum/rank"
 
 
 def check_dual_identity(n_max: int, d_max: int) -> tuple[bool, str]:
@@ -200,148 +204,117 @@ def _random_poly(rng: SplitMix64, nv: int, deg: int) -> HomPoly:
     return HomPoly(nv, deg, terms)
 
 
-def _random_graded_map(rng: SplitMix64, nv: int, p: int, q: int) -> GradedMap:
-    src = sorted(rng.next_int(-1, 1) for _ in range(q))
-    tgt = sorted(rng.next_int(1, 3) for _ in range(p))
-    rows = []
-    for i in range(p):
-        row = []
-        for j in range(q):
-            deg = tgt[i] - src[j]
-            row.append(
-                _random_poly(rng, nv, deg) if deg >= 0 else HomPoly.zero(nv, 0)
-            )
-        rows.append(row)
+def _random_map(rng: SplitMix64, nv: int, src, tgt) -> GradedMap:
+    """Random entries of degree t - s, row by row; zero where t < s."""
+    rows = [
+        [_random_poly(rng, nv, t - s) if t >= s else HomPoly.zero(nv, 0) for s in src]
+        for t in tgt
+    ]
     return GradedMap(nv, src, tgt, rows)
 
 
-def prop_euler_identity(count: int) -> tuple[bool, str]:
-    rng = SplitMix64(101)
-    for k in range(count):
-        nv = rng.next_int(2, 4)
-        deg = rng.next_int(1, 4)
-        p = _random_poly(rng, nv, deg)
-        acc = HomPoly.zero(nv, deg)
-        for i in range(nv):
-            acc = acc + HomPoly.variable(nv, i) * p.differentiate(i)
-        if acc != p * deg:
-            return False, f"instance {k}"
-    return True, f"{count} instances"
+# Each prop_* draws one instance from rng and returns None when the property
+# holds, else the text that follows "instance k" in the failure detail.
 
 
-def prop_substitution_homomorphism(count: int) -> tuple[bool, str]:
-    rng = SplitMix64(202)
-    for k in range(count):
-        nv = rng.next_int(2, 3)
-        e = rng.next_int(1, 2)
-        forms = [_random_poly(rng, 2, e) for _ in range(nv)]
-        p = _random_poly(rng, nv, rng.next_int(1, 3))
-        q = _random_poly(rng, nv, rng.next_int(1, 2))
-        lhs = (p * q).substitute(forms)
-        rhs = p.substitute(forms) * q.substitute(forms)
-        if lhs != rhs:
-            return False, f"instance {k}"
-    return True, f"{count} instances"
+def prop_euler_identity(rng: SplitMix64) -> str | None:
+    nv = rng.next_int(2, 4)
+    deg = rng.next_int(1, 4)
+    p = _random_poly(rng, nv, deg)
+    acc = HomPoly.zero(nv, deg)
+    for i in range(nv):
+        acc = acc + HomPoly.variable(nv, i) * p.differentiate(i)
+    return None if acc == p * deg else ""
 
 
-def prop_stratum_functoriality(count: int) -> tuple[bool, str]:
-    rng = SplitMix64(303)
-    for k in range(count):
-        nv = rng.next_int(2, 3)
-        inner = _random_graded_map(rng, nv, rng.next_int(1, 3), rng.next_int(1, 2))
-        # outer must consume inner's target twists
-        outer_p = rng.next_int(1, 3)
-        outer_tgt = sorted(
-            max(inner.target_twists) + rng.next_int(0, 2) for _ in range(outer_p)
-        )
-        rows = []
-        for i in range(outer_p):
-            row = []
-            for j, s in enumerate(inner.target_twists):
-                deg = outer_tgt[i] - s
-                row.append(
-                    _random_poly(rng, nv, deg) if deg >= 0 else HomPoly.zero(nv, 0)
-                )
-            rows.append(row)
-        outer = GradedMap(nv, inner.target_twists, outer_tgt, rows)
-        m = rng.next_int(-1, 2)
-        lhs = outer.compose(inner).stratum(m)
-        rhs = outer.stratum(m) * inner.stratum(m)
-        if lhs != rhs:
-            return False, f"instance {k} at twist {m}"
-    return True, f"{count} instances"
+def prop_substitution_homomorphism(rng: SplitMix64) -> str | None:
+    nv = rng.next_int(2, 3)
+    e = rng.next_int(1, 2)
+    forms = [_random_poly(rng, 2, e) for _ in range(nv)]
+    p = _random_poly(rng, nv, rng.next_int(1, 3))
+    q = _random_poly(rng, nv, rng.next_int(1, 2))
+    lhs = (p * q).substitute(forms)
+    rhs = p.substitute(forms) * q.substitute(forms)
+    return None if lhs == rhs else ""
 
 
-def _random_p1_presentation(rng: SplitMix64) -> GradedMap:
+def prop_stratum_functoriality(rng: SplitMix64) -> str | None:
+    nv = rng.next_int(2, 3)
+    p, q = rng.next_int(1, 3), rng.next_int(1, 2)
+    inner_src = sorted(rng.next_int(-1, 1) for _ in range(q))
+    inner_tgt = sorted(rng.next_int(1, 3) for _ in range(p))
+    inner = _random_map(rng, nv, inner_src, inner_tgt)
+    # outer must consume inner's target twists
+    outer_p = rng.next_int(1, 3)
+    outer_tgt = sorted(
+        max(inner.target_twists) + rng.next_int(0, 2) for _ in range(outer_p)
+    )
+    outer = _random_map(rng, nv, inner.target_twists, outer_tgt)
+    m = rng.next_int(-1, 2)
+    lhs = outer.compose(inner).stratum(m)
+    rhs = outer.stratum(m) * inner.stratum(m)
+    return None if lhs == rhs else f" at twist {m}"
+
+
+def _random_p1_presentation(
+    rng: SplitMix64,
+) -> tuple[GradedMap, p1split.SplittingType]:
+    """A random P^1 presentation with a locally free cokernel, and its type."""
     while True:
         q = rng.next_int(1, 2)
         rank = rng.next_int(1, 2)
-        p = q + rank
         src = sorted(rng.next_int(-2, 0) for _ in range(q))
-        tgt = sorted(max(src) + rng.next_int(0, 2) for _ in range(p))
-        rows = []
-        for i in range(p):
-            row = []
-            for j in range(q):
-                deg = tgt[i] - src[j]
-                row.append(
-                    _random_poly(rng, 2, deg) if deg >= 0 else HomPoly.zero(2, 0)
-                )
-            rows.append(row)
-        pres = GradedMap(2, src, tgt, rows)
+        tgt = sorted(max(src) + rng.next_int(0, 2) for _ in range(q + rank))
+        pres = _random_map(rng, 2, src, tgt)
         try:
-            p1split.splitting_type(pres)
-            return pres
+            return pres, p1split.splitting_type(pres)
         except (p1split.NotInjectiveError, p1split.NotLocallyFreeError):
             continue
 
 
-def prop_h0_oracle(count: int) -> tuple[bool, str]:
-    rng = SplitMix64(404)
-    for k in range(count):
-        pres = _random_p1_presentation(rng)
-        st = p1split.splitting_type(pres)
-        top = max(st.degrees)
-        lo, hi = -top - 2, top + 2
-        profile = st.h0_profile(lo, hi)
-        direct = [p1split.h0_direct(pres, m) for m in range(lo, hi + 1)]
-        if profile != direct:
-            return False, f"instance {k}: {profile} vs {direct}"
-        # chi-consistency in the regime where the source has no h^1
-        for m in range(-min(pres.source_twists) - 1, hi + 1):
-            chi = sum(t + m + 1 for t in pres.target_twists) - sum(
-                s + m + 1 for s in pres.source_twists
-            )
-            if sum(max(0, b + m + 1) for b in st.degrees) != chi:
-                return False, f"instance {k}: chi mismatch at twist {m}"
-    return True, f"{count} instances, full window plus chi regime"
+def prop_h0_oracle(rng: SplitMix64) -> str | None:
+    pres, st = _random_p1_presentation(rng)
+    top = max(st.degrees)
+    lo, hi = -top - 2, top + 2
+    profile = st.h0_profile(lo, hi)
+    direct = [p1split.h0_direct(pres, m) for m in range(lo, hi + 1)]
+    if profile != direct:
+        return f": {profile} vs {direct}"
+    # chi-consistency in the regime where the source has no h^1
+    for m in range(-min(pres.source_twists) - 1, hi + 1):
+        chi = sum(t + m + 1 for t in pres.target_twists) - sum(
+            s + m + 1 for s in pres.source_twists
+        )
+        if sum(max(0, b + m + 1) for b in st.degrees) != chi:
+            return f": chi mismatch at twist {m}"
+    return None
 
 
-def prop_degree_conservation(count: int) -> tuple[bool, str]:
-    rng = SplitMix64(505)
-    for k in range(count):
-        pres = _random_p1_presentation(rng)
-        st = p1split.splitting_type(pres)
-        if st.degree != sum(pres.target_twists) - sum(pres.source_twists):
-            return False, f"instance {k}"
-    return True, f"{count} instances"
+def prop_degree_conservation(rng: SplitMix64) -> str | None:
+    pres, st = _random_p1_presentation(rng)
+    want = sum(pres.target_twists) - sum(pres.source_twists)
+    return None if st.degree == want else ""
+
+
+_PROPERTY_SUITES = (
+    ("euler_identity", 101, prop_euler_identity),
+    ("substitution_homomorphism", 202, prop_substitution_homomorphism),
+    ("stratum_functoriality", 303, prop_stratum_functoriality),
+    ("h0_oracle", 404, prop_h0_oracle),
+    ("degree_conservation", 505, prop_degree_conservation),
+)
 
 
 def check_property_suites(count: int) -> tuple[bool, str]:
-    suites = [
-        ("euler_identity", prop_euler_identity),
-        ("substitution_homomorphism", prop_substitution_homomorphism),
-        ("stratum_functoriality", prop_stratum_functoriality),
-        ("h0_oracle", prop_h0_oracle),
-        ("degree_conservation", prop_degree_conservation),
-    ]
-    details = []
-    for name, fn in suites:
-        ok, detail = fn(count)
-        if not ok:
-            return False, f"{name}: {detail}"
-        details.append(f"{name} ok")
-    return True, f"{count} seeded instances per suite: " + ", ".join(details)
+    """`count` instances of each property, drawn from the suite's own seed."""
+    for name, seed, prop in _PROPERTY_SUITES:
+        rng = SplitMix64(seed)
+        for k in range(count):
+            fault = prop(rng)
+            if fault is not None:
+                return False, f"{name}: instance {k}{fault}"
+    details = ", ".join(f"{name} ok" for name, _, _ in _PROPERTY_SUITES)
+    return True, f"{count} seeded instances per suite: " + details
 
 
 # -- golden files -----------------------------------------------------------------
@@ -361,11 +334,8 @@ def check_golden_files(full: bool) -> tuple[bool, str]:
             nv, m = (int(x) for x in key.split(","))
             if [list(x) for x in monomials(nv, m)] != monos:
                 return False, f"{name}: order mismatch at ({nv},{m})"
-    except (OSError, ValueError, KeyError) as exc:
-        return False, f"{name}: {exc}"
 
-    name = "curves_v1.json"
-    try:
+        name = "curves_v1.json"
         golden = _load_golden(name)
         for key, blob in golden.items():
             kind, n, seed = key.split(",")
@@ -375,21 +345,19 @@ def check_golden_files(full: bool) -> tuple[bool, str]:
             )
             if made.to_json() != blob:
                 return False, f"{name}: {key} differs from regenerated curve"
-    except (OSError, ValueError, KeyError) as exc:
-        return False, f"{name}: {exc}"
 
-    name = "splitting_n2_d3_line_v1.json"
-    try:
+        name = "splitting_n2_d3_line_v1.json"
         golden = _load_golden(name)
         ctx = VeroneseContext(int(golden["n"]), int(golden["d"]))
-        samples = golden["samples"] if full else golden["samples"][:2]
-        for entry in samples:
-            st = _restrict_normal(ctx, curves.random_line(ctx.n, int(entry["seed"])))
-            if list(st.degrees) != entry["degrees"]:
-                return False, f"{name}: seed {entry['seed']} gives {st.degrees}"
-        st = _restrict_normal(ctx, curves.standard_line(ctx.n))
-        if list(st.degrees) != golden["standard_line_degrees"]:
-            return False, f"{name}: standard line gives {st.degrees}"
+        entries = golden["samples"] if full else golden["samples"][:2]
+        labels = [f"seed {entry['seed']}" for entry in entries] + ["standard line"]
+        wants = [entry["degrees"] for entry in entries]
+        wants.append(golden["standard_line_degrees"])
+        lines = [curves.random_line(ctx.n, int(entry["seed"])) for entry in entries]
+        lines.append(curves.standard_line(ctx.n))
+        for label, want, st in zip(labels, wants, _restrictions(ctx, lines)):
+            if list(st.degrees) != want:
+                return False, f"{name}: {label} gives {st.degrees}"
     except (OSError, ValueError, KeyError) as exc:
         return False, f"{name}: {exc}"
     return True, "monomial order, pinned curves, empirical splitting all match"
@@ -397,41 +365,34 @@ def check_golden_files(full: bool) -> tuple[bool, str]:
 
 # -- corpus assembly ----------------------------------------------------------------
 
+# One row per check, in report order: name, function, fast and full arguments.
+_CHECKS = (
+    ("rnc_balanced", check_rnc_balanced, (range(2, 6),), (range(2, 9),)),
+    ("line_restriction_d2", check_line_restriction_d2, ((2, 3), 3), ((2, 3, 4, 5), 10)),
+    ("rnc_restriction_d2", check_rnc_restriction_d2, ((2, 3), 2), ((2, 3, 4), 5)),
+    (
+        "grauert_mulich_chern",
+        check_grauert_mulich_chern,
+        (((2, 3),), 3),
+        (((2, 3), (2, 4), (3, 3)), 10),
+    ),
+    ("dual_identity", check_dual_identity, (3, 3), (4, 4)),
+    ("symmetrize_dualize_commute", check_commute_suite, (25,), (100,)),
+    ("k_tower_slopes", check_k_tower_slopes, (6, 2), (8, 3)),
+    ("tangent_restrictions", check_tangent_restrictions, ((2, 3),), ((2, 3, 4),)),
+    ("property_suites", check_property_suites, (15,), (50,)),
+    ("golden_files", check_golden_files, (False,), (True,)),
+)
+
 
 def corpus(scope: str) -> list[tuple[str, object]]:
-    if scope == "full":
-        return [
-            ("rnc_balanced", lambda: check_rnc_balanced(range(2, 9))),
-            ("line_restriction_d2", lambda: check_line_restriction_d2((2, 3, 4, 5), 10)),
-            ("rnc_restriction_d2", lambda: check_rnc_restriction_d2((2, 3, 4), 5)),
-            (
-                "grauert_mulich_chern",
-                lambda: check_grauert_mulich_chern(((2, 3), (2, 4), (3, 3)), 10),
-            ),
-            ("dual_identity", lambda: check_dual_identity(4, 4)),
-            ("symmetrize_dualize_commute", lambda: check_commute_suite(100)),
-            ("k_tower_slopes", lambda: check_k_tower_slopes(8, 3)),
-            ("tangent_restrictions", lambda: check_tangent_restrictions((2, 3, 4))),
-            ("property_suites", lambda: check_property_suites(50)),
-            ("golden_files", lambda: check_golden_files(full=True)),
-        ]
-    if scope == "fast":
-        return [
-            ("rnc_balanced", lambda: check_rnc_balanced(range(2, 6))),
-            ("line_restriction_d2", lambda: check_line_restriction_d2((2, 3), 3)),
-            ("rnc_restriction_d2", lambda: check_rnc_restriction_d2((2, 3), 2)),
-            (
-                "grauert_mulich_chern",
-                lambda: check_grauert_mulich_chern(((2, 3),), 3),
-            ),
-            ("dual_identity", lambda: check_dual_identity(3, 3)),
-            ("symmetrize_dualize_commute", lambda: check_commute_suite(25)),
-            ("k_tower_slopes", lambda: check_k_tower_slopes(6, 2)),
-            ("tangent_restrictions", lambda: check_tangent_restrictions((2, 3))),
-            ("property_suites", lambda: check_property_suites(15)),
-            ("golden_files", lambda: check_golden_files(full=False)),
-        ]
-    raise ValueError(f"unknown scope {scope!r}")
+    """(name, zero-argument check) pairs of one scope, in report order."""
+    if scope not in ("fast", "full"):
+        raise ValueError(f"unknown scope {scope!r}")
+    return [
+        (name, partial(fn, *(full if scope == "full" else fast)))
+        for name, fn, fast, full in _CHECKS
+    ]
 
 
 def run_corpus(scope: str) -> dict:

@@ -6,9 +6,11 @@ mathematical content.  No tolerances anywhere: every comparison is on
 integers, exact rationals, or exact polynomial matrices.
 """
 
+import json
 import time
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 from veronese.bundles import (
     VeroneseContext,
@@ -157,6 +159,16 @@ def test_criterion_9_property_suites():
     _report(9, "randomized property suites, 50 instances each", elapsed)
 
 
+_RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "verify_outputs_v1.json").read_text()
+)
+
+
+def _without_elapsed(report):
+    checks = [{k: v for k, v in c.items() if k != "elapsed_s"} for c in report["checks"]]
+    return {**report, "checks": checks}
+
+
 def test_full_corpus_agrees():
     # the CLI-facing corpus runs the same criteria and must agree
     report = corpus.run_corpus("full")
@@ -164,3 +176,6 @@ def test_full_corpus_agrees():
         c for c in report["checks"] if c["status"] == "fail"
     ]
     assert "necessary-condition" in report["note"]
+    # names, order, statuses, details and note match the recorded reports
+    assert _without_elapsed(report) == _RECORDED["full"]
+    assert _without_elapsed(corpus.run_corpus("fast")) == _RECORDED["fast"]

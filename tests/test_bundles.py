@@ -112,6 +112,40 @@ def test_xi_stratum_boundary_not_surjective():
     assert s.rank() == 3
 
 
+def _xi_by_search(ctx, i):
+    """xi built the slow way: every (row b, column g) pair searched for g = b + e_j."""
+    nv = ctx.num_vars
+
+    def single_step(b, g):
+        j = None
+        for k, (x, y) in enumerate(zip(b, g)):
+            if y == x + 1:
+                if j is not None:
+                    return None
+                j = k
+            elif y != x:
+                return None
+        return j
+
+    cols = monomials(nv, i)
+    rows = []
+    for b in monomials(nv, i - 1):
+        row = []
+        for g in cols:
+            j = single_step(b, g)
+            row.append(HomPoly.zero(nv, 1) if j is None else HomPoly.variable(nv, j, g[j]))
+        rows.append(row)
+    return GradedMap(nv, [ctx.d - i] * len(cols), [ctx.d - i + 1] * len(rows), rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_xi_matches_pairwise_search(n, d):
+    ctx = VeroneseContext(n, d)
+    for i in range(1, d + 1):
+        assert xi_matrix(ctx, i).to_json() == _xi_by_search(ctx, i).to_json()
+
+
 def test_xi_index_out_of_range():
     ctx = VeroneseContext(2, 2)
     with pytest.raises(ValueError):

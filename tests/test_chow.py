@@ -97,7 +97,7 @@ def test_hilbert_leading_coefficient_is_rank():
         ctx = VeroneseContext(n, d)
         hp = hilbert_poly(normal_presentation(ctx))
         struct = hilbert_poly(GradedMap(n + 1, [], [0], [[]]))
-        assert hp.alphas[n] / struct.alphas[n] == ctx.sym_dim - n - 1
+        assert Fraction(hp.alphas[n], struct.alphas[n]) == ctx.sym_dim - n - 1
 
 
 def test_hilbert_symbolic_cross_check():

@@ -7,10 +7,12 @@ import pytest
 
 from veronese.bundles import (
     VeroneseContext,
+    k_bundle_stats,
     normal_presentation,
     verify_dual_identity,
     xi_matrix,
 )
+from veronese.chow import ChowClass, HilbertPoly, chern_normal, hilbert_poly, normal_stats
 from veronese.curves import random_line, rnc
 from veronese.gradedmap import GradedMap, binary_gcd
 from veronese.linalg import QMatrix, exact
@@ -159,3 +161,31 @@ def test_binary_gcd_with_rational_monic_form():
         _assert_exact(c)
     lone = binary_gcd(HomPoly.zero(2, 0), f)
     assert lone.terms == {(1, 0): 1, (0, 1): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 4)])
+def test_chow_values_are_exact(n, d):
+    ctx = VeroneseContext(n, d)
+    chern = chern_normal(ctx)
+    inverse = ChowClass.line(n, d).inverse()
+    assert (chern * inverse).coeffs[0] == 1
+    hp = hilbert_poly(normal_presentation(ctx))
+    values = [*chern.coeffs, *inverse.coeffs, *hp.alphas]
+    values += [hp.evaluate(m) for m in range(-3, 4)]
+    values += [hp.evaluate(Fraction(1, 2)), normal_stats(ctx).slope]
+    values += [k_bundle_stats(ctx, i).slope for i in range(1, d + 2)]
+    for x in values:
+        _assert_exact(x)
+
+
+def test_chow_values_keep_both_kinds():
+    assert normal_stats(VeroneseContext(1, 2)).slope == 4
+    assert type(normal_stats(VeroneseContext(1, 2)).slope) is int
+    assert normal_stats(VeroneseContext(2, 3)).slope == Fraction(27, 7)
+    assert _kinds(ChowClass(1, (2, 1)).inverse().coeffs) == {Fraction}
+    assert ChowClass(1, (Fraction(4, 2), 1)).coeffs == (2, 1)
+    assert _kinds(ChowClass(2, (1, 3, 0)).inverse().coeffs) == {int}
+    hp = HilbertPoly((Fraction(6, 3), 1, 1))
+    assert hp.alphas == (2, 1, 1) and _kinds(hp.alphas) == {int}
+    assert hp.evaluate(1) == Fraction(7, 2) and hp.evaluate(2) == 6
+    assert type(hp.evaluate(2)) is int
