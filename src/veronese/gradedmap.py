@@ -209,6 +209,23 @@ class GradedMap:
                     )
         self.entries = rows
 
+    @classmethod
+    def _unchecked(
+        cls,
+        num_vars: int,
+        source_twists: tuple[int, ...],
+        target_twists: tuple[int, ...],
+        entries: Sequence[Sequence[HomPoly]],
+    ) -> "GradedMap":
+        """A map whose entries already have the degrees the twists ask for;
+        nothing is checked."""
+        self = object.__new__(cls)
+        self.num_vars = num_vars
+        self.source_twists = source_twists
+        self.target_twists = target_twists
+        self.entries = tuple(tuple(row) for row in entries)
+        return self
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod
@@ -297,7 +314,8 @@ class GradedMap:
         e = curve.degree
         images = iter(substitute_all([f for row in self.entries for f in row], curve.forms))
         rows = [[next(images) for _ in row] for row in self.entries]
-        return GradedMap(
+        # entry (i, j) of degree t_i - s_j becomes one of degree e * (t_i - s_j)
+        return GradedMap._unchecked(
             2,
             tuple(e * s for s in self.source_twists),
             tuple(e * t for t in self.target_twists),

@@ -10,11 +10,12 @@ elimination (Bareiss) of the rows with their denominators cleared.  Everything
 downstream -- splitting types, dual identities, slope tables -- is decided
 by exact ranks and kernels, so no floating point ever enters.
 
-``rank`` first eliminates modulo the fixed prime ``PRIME``.  Reduction
-mod p can only lose rank, rank_p <= rank_Q <= min(rows, cols), so a
-modular rank equal to min(rows, cols) is the exact rank; any smaller
+``pivot_columns``, and ``rank`` as its length, first eliminate modulo the
+fixed prime ``PRIME``.  Reduction mod p can only lose rank, rank_p <=
+rank_Q <= min(rows, cols), so a modular rank equal to min(rows, cols) is
+the exact rank, and its pivot columns are independent over Q; any smaller
 modular rank is discarded and a forward-only fraction-free elimination,
-which never clears above a pivot, decides.
+which never clears above a pivot, gives the exact pivot columns.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _bareiss(m: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], tu
     return m, tuple(pivots), prev
 
 
-def _rank_mod_p(m: list[Sequence[int]], cols: int) -> int:
-    """Rank of integer rows over GF(PRIME), by forward elimination.
+def _pivots_mod_p(m: list[Sequence[int]], cols: int) -> list[int]:
+    """Pivot columns of integer rows over GF(PRIME), by forward elimination.
 
     Entries are reduced only when a row is updated, so a pivot is tested
     as nonzero mod p.  Rows below the current pivot are kept only from the
@@ -99,8 +100,10 @@ def _rank_mod_p(m: list[Sequence[int]], cols: int) -> int:
     p = PRIME
     work = list(m)
     rows = len(work)
-    r = off = 0
+    pivots = []
+    off = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         j = c - off
@@ -118,26 +121,29 @@ def _rank_mod_p(m: list[Sequence[int]], cols: int) -> int:
                 work[i] = [(a - f * b) % p for a, b in zip(row[j + 1:], tail)]
             else:
                 work[i] = row[j + 1:]
-        r += 1
+        pivots.append(c)
         off = c + 1
-    return r
+    return pivots
 
 
-def _rank_fraction_free(m: list[Sequence[int]], cols: int) -> int:
-    """Exact rank of integer rows by forward one-step Bareiss elimination.
+def _pivots_fraction_free(m: list[Sequence[int]], cols: int) -> list[int]:
+    """Exact pivot columns of integer rows by forward one-step Bareiss
+    elimination.
 
     A step with pivot p replaces each row below it by
     (p * row - row[c] * pivot_row) // prev, prev being the pivot before p;
     as in `_bareiss`, every entry is then a minor, so the division is exact.
     A row with 0 in the pivot column is still scaled, to p * row // prev.
     Rows above the pivot are left alone, and rows below it are kept only
-    right of the pivot column, as in `_rank_mod_p`.
+    right of the pivot column, as in `_pivots_mod_p`.
     """
     work = list(m)
     rows = len(work)
-    r = off = 0
+    pivots = []
+    off = 0
     prev = 1
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         j = c - off
@@ -158,22 +164,30 @@ def _rank_fraction_free(m: list[Sequence[int]], cols: int) -> int:
             else:
                 work[i] = row[j + 1:]
         prev = p
-        r += 1
+        pivots.append(c)
         off = c + 1
-    return r
+    return pivots
+
+
+def pivot_columns(rows: Iterable[Sequence], cols: int) -> list[int]:
+    """Ascending indices of columns that form a basis of the column space,
+    for rows of ints or Fractions.
+
+    The pivot columns mod PRIME are returned when they number min(rows,
+    cols): a nonzero maximal minor mod p is nonzero over Q, so those
+    columns are independent, and there are rank many.  Otherwise the
+    forward fraction-free elimination gives the exact pivot columns.
+    """
+    m = _integer_rows(rows)
+    pivots = _pivots_mod_p(m, cols)
+    if len(pivots) == min(len(m), cols):
+        return pivots
+    return _pivots_fraction_free(m, cols)
 
 
 def rank(rows: Iterable[Sequence], cols: int) -> int:
-    """Exact rank of a matrix given as rows of ints or Fractions.
-
-    The rank mod PRIME is returned when it equals min(rows, cols), where it
-    is exact; otherwise the forward fraction-free elimination gives the rank.
-    """
-    m = _integer_rows(rows)
-    full = min(len(m), cols)
-    if _rank_mod_p(m, cols) == full:
-        return full
-    return _rank_fraction_free(m, cols)
+    """Exact rank of a matrix given as rows of ints or Fractions."""
+    return len(pivot_columns(rows, cols))
 
 
 class QMatrix:

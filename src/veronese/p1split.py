@@ -10,9 +10,29 @@ function K(m) = sum_i max(0, m - b_i + 1), so the number of generators of
 degree m is the second difference K(m) - 2K(m-1) + K(m-2).  K(m) is the
 nullity of the dual's degree-m stratum: the scan needs exact ranks only.
 
+Image recursion.  The dual stratum at twist m maps H0(F0^v(m)) to
+H0(F1^v(m)), and its image Im(m) has the rank the scan needs:
+K(m) = sum_i max(0, m - t_i + 1) - dim Im(m).  Every column at twist m+1
+is s or t times a column at m, except the columns of the summands with
+t_i = m+1, so Im(m+1) = s Im(m) + t Im(m) + those new columns.  The scan
+keeps a basis of Im(m) as columns of the stratum (shifted presentation
+coefficients, so entries never grow) and ranks only the candidates:
+the two shifts of the basis and the new columns.  The next basis is the
+pivot columns of the candidate matrix (`linalg.pivot_columns`).  Where
+the stratum is much wider than tall this ranks far fewer columns.
+
 Preconditions are enforced, not assumed.  Injectivity is decided exactly
 by scalar ranks at D+1 points of the line, D a degree bound on maximal
-minors.  Local freeness is decided by degree conservation: the kernel
+minors, unless the scan proves it first: once Im(m) is all of H0(F1^v(m))
+at some m >= max(s), every O(m - s_j) is globally generated, so the dual
+map is onto every fiber, and the presentation is injective on every
+fiber.  It is then injective with a locally free cokernel, the point test
+is skipped, and every later Im is everything, so K follows by formula.
+Without such a stratum the point test runs after the scan and before any
+torsion diagnosis, which keeps every outcome of the earlier order (a
+surjective stratum at m < max(s) proves nothing: O(m - s_j) may have no
+sections).  Square presentations have no scan and always run it.
+Local freeness is decided by degree conservation: the kernel
 module is free even when E has torsion, and its degrees then describe the
 torsion-free quotient of E, so any deficit against sum(t) - sum(s) is
 precisely the torsion length.  With rank 0 there is no kernel module; the
@@ -115,6 +135,40 @@ def _assert_injective(pres: GradedMap) -> None:
     raise NotInjectiveError("presentation not injective")
 
 
+def _image_basis(
+    row_terms: list[list[tuple[int, int, object]]],
+    src: tuple[int, ...],
+    basis: list[tuple[int, int]],
+    new: list[int],
+    m: int,
+) -> list[tuple[int, int]]:
+    """Columns that form a basis of the image of the dual stratum at twist m.
+
+    Column (i, b) of that stratum is s^(m - t_i - b) t^b times row i of
+    the presentation, whose terms are `row_terms[i]`: the term c s^a t^beta
+    of entry (i, j) sits at row beta + b of block j, which has m - s_j + 1
+    rows.  s and t times column (i, b) of twist m - 1 are (i, b) and
+    (i, b + 1) of twist m, so the image at m is spanned by those shifts of
+    `basis`, a basis at m - 1, and by the columns (i, 0) of the summands
+    `new` with t_i = m.  The candidates stay presentation coefficients, and
+    the pivot columns among them are the basis.
+    """
+    cands: list[tuple[int, int]] = []
+    for i, b in basis:  # grouped by i, ascending b: shifts meet only within a run
+        if not cands or cands[-1] != (i, b):
+            cands.append((i, b))
+        cands.append((i, b + 1))
+    cands += [(i, 0) for i in new]
+    offsets = [0]
+    for s in src:
+        offsets.append(offsets[-1] + max(0, m - s + 1))
+    rows = [[0] * len(cands) for _ in range(offsets[-1])]
+    for col, (i, b) in enumerate(cands):
+        for j, beta, c in row_terms[i]:
+            rows[offsets[j] + beta + b][col] = c
+    return [cands[c] for c in linalg.pivot_columns(rows, len(cands))]
+
+
 def splitting_type(pres: GradedMap) -> SplittingType:
     """Splitting degrees of the cokernel bundle of an injective presentation.
 
@@ -127,20 +181,26 @@ def splitting_type(pres: GradedMap) -> SplittingType:
         raise ValueError("splitting types live on the projective line")
     p, q = pres.shape
     rank = p - q
-    _assert_injective(pres)
     if q == 0:
         return SplittingType(pres.target_twists)
     want = sum(pres.target_twists) - sum(pres.source_twists)
-    if rank == 0:
+    if rank <= 0:
+        _assert_injective(pres)  # raises when p < q
         if want != 0:
             raise NotLocallyFreeError(
                 f"cokernel not locally free: torsion length {want}"
             )
         return SplittingType(())
 
-    dual = pres.dual()  # kernel module of this map is the dual bundle of E
-    lo = min(pres.target_twists)
+    src, tgt = pres.source_twists, pres.target_twists
+    row_terms = [
+        [(j, b, c) for j, e in enumerate(row) for (_, b), c in e.terms.items()]
+        for row in pres.entries
+    ]
+    lo, top = min(tgt), max(src)
     hi = want - (rank - 1) * lo
+    basis: list[tuple[int, int]] = []  # columns spanning the image at m - 1
+    surjective = False  # the image is all of H0(F1^v(m)) at some m >= max(s)
     degrees: list[int] = []
     k1 = k2 = 0  # K(m-1), K(m-2); K vanishes below lo
     for m in range(lo, hi + 1):
@@ -151,12 +211,19 @@ def splitting_type(pres: GradedMap) -> SplittingType:
         if want - sum(degrees) == m * k:
             degrees.extend([m] * k)
             break
-        rows, cols = dual.stratum_rows(m)
-        k0 = cols - linalg.rank(rows, cols)
+        n_rows = sum(max(0, m - s + 1) for s in src)
+        if not surjective:
+            new = [i for i, t in enumerate(tgt) if t == m]
+            basis = _image_basis(row_terms, src, basis, new, m)
+            surjective = len(basis) == n_rows and m >= top
+        # once surjective, the image stays all of H0(F1^v(m))
+        k0 = sum(max(0, m - t + 1) for t in tgt) - (n_rows if surjective else len(basis))
         degrees.extend([m] * (k0 - 2 * k1 + k2))
         if len(degrees) == rank:
             break
         k1, k2 = k0, k1
+    if not surjective:
+        _assert_injective(pres)
     if len(degrees) != rank:
         raise NotLocallyFreeError(
             f"cokernel not locally free: kernel module has {len(degrees)} "

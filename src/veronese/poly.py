@@ -78,6 +78,17 @@ class HomPoly:
         self.degree = degree
         self.terms = clean
 
+    @classmethod
+    def _unchecked(cls, num_vars: int, degree: int, terms: Mapping[Monomial, object]) -> "HomPoly":
+        """A form whose terms are already monomials of `degree` in `num_vars`
+        variables with exact coefficients: zero coefficients are dropped and
+        only non-int ones go through `exact`; nothing else is checked."""
+        self = object.__new__(cls)
+        self.num_vars = num_vars
+        self.degree = degree
+        self.terms = {m: c if type(c) is int else exact(c) for m, c in terms.items() if c}
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -226,8 +237,9 @@ def substitute_all(polys: Sequence[HomPoly], forms: Sequence[HomPoly]) -> list[H
     The forms share one degree e and one variable count; a poly of degree k
     maps to degree e * k.  The image of each monomial Z^g is built once per
     call, as the image of Z^(g - e_i) times forms[i] with i the first
-    nonzero exponent of g, and kept as a plain dict shared by all polys;
-    only the results are built as validated `HomPoly` objects.
+    nonzero exponent of g, and kept as a plain dict shared by all polys.
+    The results are valid by construction, so they are built without the
+    checks of `HomPoly.__init__`.
     """
     if any(len(forms) != p.num_vars for p in polys):
         raise ValueError("need one form per variable")
@@ -263,7 +275,7 @@ def substitute_all(polys: Sequence[HomPoly], forms: Sequence[HomPoly]) -> list[H
         for g, c in p.terms.items():
             for m, v in image(g).items():
                 terms[m] = terms.get(m, 0) + c * v
-        out.append(HomPoly(nv, e * p.degree, terms))
+        out.append(HomPoly._unchecked(nv, e * p.degree, terms))
     return out
 
 

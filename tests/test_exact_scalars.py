@@ -78,6 +78,8 @@ def test_pullbacks_and_strata_are_exact(n, d):
         for curve in (random_line(n, seed), rnc(n, seed)):
             back = pres.pullback(curve)
             _assert_map_exact(back)
+            # built unchecked; the checked constructor accepts it unchanged
+            assert GradedMap(2, back.source_twists, back.target_twists, back.entries) == back
             for m in range(-1, 3):
                 _assert_matrix_exact(back.dual().stratum(m))
                 _assert_matrix_exact(back.stratum(m))

@@ -184,6 +184,29 @@ def test_elimination_matches_fraction_reference():
     assert deficient >= 50 and negative_pivot >= 50
 
 
+def _independent(rows, cols, picked) -> bool:
+    sub = [[row[c] for c in picked] for row in rows]
+    return len(_reference_rref(sub, len(picked))[1]) == len(picked)
+
+
+def test_pivot_columns_form_a_basis():
+    """The forward fraction-free pivots are the reference pivots; the
+    columns `pivot_columns` picks are independent and rank many, also
+    when the modular pivots differ from the rational ones."""
+    matrices = list(_oracle_matrices(600)) + list(_fallback_matrices())
+    for rows, cols in matrices:
+        _, ref_pivots = _reference_rref(rows, cols)
+        exact_pivots = linalg._pivots_fraction_free(linalg._integer_rows(rows), cols)
+        assert exact_pivots == list(ref_pivots)
+        picked = linalg.pivot_columns(rows, cols)
+        assert picked == sorted(set(picked))
+        assert len(picked) == len(ref_pivots)
+        assert _independent(rows, cols, picked)
+    # column 0 vanishes mod PRIME, so the modular pivot is column 1
+    assert linalg.pivot_columns([[PRIME, 1]], 2) == [1]
+    assert linalg._pivots_fraction_free([[PRIME, 1]], 2) == [0]
+
+
 def test_rowspan_agrees_with_rank():
     rng = SplitMix64(17)
     for _ in range(100):
@@ -277,8 +300,9 @@ def test_rank_exact_when_modular_rank_drops():
         _, ref_pivots = _reference_rref(rows, cols)
         assert rank(rows, cols) == len(ref_pivots)
         assert QMatrix(rows, cols=cols).rank() == len(ref_pivots)
-        assert linalg._rank_mod_p(linalg._integer_rows(rows), cols) < min(len(rows), cols)
-        dropped += linalg._rank_mod_p(linalg._integer_rows(rows), cols) < len(ref_pivots)
+        rank_p = len(linalg._pivots_mod_p(linalg._integer_rows(rows), cols))
+        assert rank_p < min(len(rows), cols)
+        dropped += rank_p < len(ref_pivots)
     assert rank([[PRIME]], 1) == 1
     # the modular rank is strictly below the exact one on most of them
     assert dropped >= 40

@@ -3,6 +3,7 @@ import pytest
 from veronese.bundles import VeroneseContext, normal_presentation
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import CurveParam, GradedMap
+from veronese import linalg, p1split
 from veronese.linalg import PRIME, rank as rank_of
 from veronese.p1split import (
     NotInjectiveError,
@@ -210,9 +211,10 @@ def test_generator_count_always_rank():
 
 
 def _full_scan_splitting_type(pres: GradedMap) -> SplittingType:
-    """splitting_type without the degree-sum stop: the scan reads every
-    stratum until rank-many generators are found.  Kept as the oracle for
-    the stop."""
+    """splitting_type without the degree-sum stop, the image recursion or
+    the injectivity certificate: the point test runs first, then the scan
+    ranks every whole stratum until rank-many generators are found.  Kept
+    as the oracle for all three."""
     _assert_injective(pres)
     p, q = pres.shape
     rank = p - q
@@ -273,22 +275,90 @@ def test_degree_sum_stop_matches_full_scan():
 
 @pytest.mark.parametrize("n, d, maker", [(2, 6, random_line), (4, 2, rnc)])
 def test_degree_sum_stop_skips_top_stratum(monkeypatch, n, d, maker):
-    """For a locally free cokernel no stratum at twist max(b) is built;
-    the full scan builds it."""
+    """For a locally free cokernel the scan ranks no stratum at twist
+    max(b); the full scan builds it.  A rank call of the scan is mapped to
+    its twist by its row count h0(F1^v(m)), which strictly grows over the
+    scan window."""
     pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 9))
+    lo = min(pres.target_twists)
+    hi = sum(pres.target_twists) - sum(pres.source_twists)
+    twist_of = {sum(max(0, m - s + 1) for s in pres.source_twists): m for m in range(lo, hi + 1)}
+    assert len(twist_of) == hi - lo + 1
+    ranked = []
+    pivot_columns = linalg.pivot_columns
+
+    def counting_ranks(rows, cols):
+        ranked.append(twist_of[len(rows)])
+        return pivot_columns(rows, cols)
+
+    monkeypatch.setattr(linalg, "pivot_columns", counting_ranks)
+    st = splitting_type(pres)
+    assert ranked and max(ranked) < max(st.degrees)
+    monkeypatch.undo()
+
     built = []
     stratum_rows = GradedMap.stratum_rows
 
-    def counting(self, m):
+    def counting_strata(self, m):
         built.append(m)
         return stratum_rows(self, m)
 
-    monkeypatch.setattr(GradedMap, "stratum_rows", counting)
-    st = splitting_type(pres)
-    assert built and max(built) < max(st.degrees)
-    built.clear()
+    monkeypatch.setattr(GradedMap, "stratum_rows", counting_strata)
     assert _full_scan_splitting_type(pres) == st
     assert max(built) == max(st.degrees)
+
+
+def _count_point_tests(monkeypatch) -> list:
+    calls = []
+    point_test = p1split._assert_injective
+
+    def counting(pres):
+        calls.append(pres)
+        return point_test(pres)
+
+    monkeypatch.setattr(p1split, "_assert_injective", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, d, maker", [(2, 6, random_line), (4, 2, rnc)])
+def test_surjective_stratum_skips_point_test(monkeypatch, n, d, maker):
+    """A stratum at twist m >= max(s) whose image is all of H0(F1^v(m))
+    proves injectivity, so the point test never runs."""
+    pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 9))
+    calls = _count_point_tests(monkeypatch)
+    splitting_type(pres)
+    assert calls == []
+
+
+def test_square_presentation_runs_point_test_once(monkeypatch):
+    calls = _count_point_tests(monkeypatch)
+    with pytest.raises(NotLocallyFreeError, match="torsion length 1"):
+        splitting_type(GradedMap(2, [0], [1], [[_s()]]))
+    assert len(calls) == 1
+    calls.clear()
+    one = HomPoly.constant(2, 1)
+    assert splitting_type(GradedMap(2, [0], [0], [[one]])) == SplittingType(())
+    assert len(calls) == 1
+
+
+def test_surjective_below_max_source_twist_is_no_certificate():
+    """O(0) + O(5) -> O(1)^2 + O(6) with rows (s, 0), (t, 0), (0, 0): the
+    stratum at m = 1 < max(s) = 5 is surjective, yet O(5) maps to zero.
+    Without the m >= max(s) condition the scan would skip the point test
+    and report torsion instead."""
+    z1, z6 = HomPoly.zero(2, 1), HomPoly.zero(2, 6)
+    pres = GradedMap(2, [0, 5], [1, 1, 6], [[_s(), z1], [_t(), z1], [z6, z1]])
+    with pytest.raises(NotInjectiveError, match="not injective"):
+        splitting_type(pres)
+    assert _outcome(splitting_type, pres) == _outcome(_full_scan_splitting_type, pres)
+
+
+@pytest.mark.parametrize(
+    "n, d, maker", [(5, 4, random_line), (8, 3, random_line), (4, 6, random_line), (4, 4, rnc)]
+)
+def test_image_scan_matches_full_scan_large(n, d, maker):
+    pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 7))
+    assert splitting_type(pres) == _full_scan_splitting_type(pres)
 
 
 def _reparametrized(curve: CurveParam, rng) -> CurveParam:
