@@ -10,25 +10,51 @@ elimination (Bareiss) of the rows with their denominators cleared.  Everything
 downstream -- splitting types, dual identities, slope tables -- is decided
 by exact ranks and kernels, so no floating point ever enters.
 
-``pivot_columns``, and ``rank`` as its length, first eliminate modulo the
-fixed prime ``PRIME``.  Reduction mod p can only lose rank, rank_p <=
-rank_Q <= min(rows, cols), so a modular rank equal to min(rows, cols) is
-the exact rank, and its pivot columns are independent over Q; any smaller
-modular rank is discarded and a forward-only fraction-free elimination,
-which never clears above a pivot, gives the exact pivot columns.
+``pivot_columns``, and ``rank`` as its length, rest on one forward
+elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed
+into one int of fixed-width fields, one per column.  A step adds a
+multiple of the pivot row to each row below it, without reducing the
+sum: the width is chosen so that no field can carry into the next within
+min(rows, cols) updates, and only a pivot row that was updated is
+reduced, field-wise, before it is used (2^45 = 55 mod p, so a reduction
+is shifts, masks and a multiplication by 55).
+
+Reduction mod p can only lose rank, rank_p <= rank_Q, and the modular
+pivot columns have a nonzero minor mod p, so they are independent over
+Q.  A modular rank equal to min(rows, cols) is therefore exact.  A smaller
+one is certified by its own left kernel: the elimination's steps, replayed
+on the row transforms, give one vector mod p per vanished row, with 1 in
+that row's own entry and 0 in every other vanished row's entry, so the
+vectors are independent.  Each is lifted to an integer vector y by rational
+reconstruction, entries up to isqrt(p // 2), about 2^22.  y . A = 0 mod p
+by construction; it is 0 over Z when |y| times the largest entry of each
+row, summed, stays below p, and otherwise the product is summed exactly.
+rows - r independent integer vectors with y . A = 0 give rank_Q <= r, so
+the modular pivots are a basis.  Only when a lift or a product fails does
+a forward-only fraction-free (Bareiss) elimination give the exact pivot
+columns.  Nothing here is probabilistic, and no float is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import isqrt, lcm
+from operator import mul
+from struct import Struct
 from typing import Iterable, Sequence
 
 Rat = Fraction
 
-# Below 2**30, so residues and the products of two of them stay small
-# CPython ints in the modular elimination.
-PRIME = 1073741789
+# 2^45 = 55 mod PRIME, so `_reduce` folds the bits of a field above 2^45
+# back in times 55, and rational reconstruction recovers entries up to
+# _LIFT_BOUND = isqrt(PRIME // 2), about 2^22.
+_SPLIT, _FOLD = 45, 55
+PRIME = (1 << _SPLIT) - _FOLD
+_LIFT_BOUND = isqrt(PRIME >> 1)
+# Rows of up to this many columns are packed by Horner's rule, which copies
+# the growing int once per field; wider ones by `_row_struct`.
+_HORNER_MAX = 24
 
 
 def exact(x) -> int | Fraction:
@@ -89,41 +115,170 @@ def _bareiss(m: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], tu
     return m, tuple(pivots), prev
 
 
-def _pivots_mod_p(m: list[Sequence[int]], cols: int) -> list[int]:
-    """Pivot columns of integer rows over GF(PRIME), by forward elimination.
+@lru_cache(maxsize=256)
+def _layout(k: int, fields: int) -> tuple[int, int, int]:
+    """Field width w and the two masks of `_reduce`, for packed rows of
+    `fields` fields that are updated at most k times.
 
-    Entries are reduced only when a row is updated, so a pivot is tested
-    as nonzero mod p.  Rows below the current pivot are kept only from the
-    column after the last pivot on, since their entries to its left are
-    zero mod p.
+    A field starts as a residue, below p.  An update adds at most p - 1
+    times a field of a reduced row, which is below 2p, so after k updates
+    a field is below 2p + 2kp^2 < 2^w, and no field carries into the next.
+    w is a multiple of 8, for `_row_struct`, and is at most 120 for k < 2^29.
     """
     p = PRIME
-    work = list(m)
-    rows = len(work)
+    w = -(-(2 * p + 2 * k * p * p).bit_length() // 8) * 8
+    ones = ((1 << (fields * w)) - 1) // ((1 << w) - 1)
+    return w, ((1 << _SPLIT) - 1) * ones, ((1 << (w - _SPLIT)) - 1) * ones
+
+
+@lru_cache(maxsize=64)
+def _row_struct(w: int, fields: int) -> Struct:
+    """Packs `fields` residues, each below 2^64, big-endian into w-bit fields."""
+    return Struct(">" + f"{w // 8 - 8}xQ" * fields)
+
+
+def _reduce(x: int, low: int, high: int) -> int:
+    """x with every field brought below 2p and kept mod p, for fields below
+    2^w, w <= 120.  Each of two rounds adds the bits above 2^45, times 55,
+    to the bits below: after one a field is below 2^45 + 55 * 2^(w - 45) <
+    2^(w - 38), after two below 2^45 + 55 * 2^(w - 83) < 2p."""
+    x = (x & low) + (x >> _SPLIT & high) * _FOLD
+    return (x & low) + (x >> _SPLIT & high) * _FOLD
+
+
+def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns of integer rows over GF(PRIME) by one forward
+    elimination, and, when they number less than min(rows, cols), the
+    left-kernel vector mod p behind each row that vanished.
+
+    Each row is one int of w-bit fields, column 0 in the top one.  A step
+    adds (p - f) times the pivot row to each row below it whose pivot
+    field is nonzero mod p, so fields grow lazily within the bound of
+    `_layout`; a pivot row that was updated is reduced first.  The steps
+    are recorded, and only a deficient rank replays them on the row
+    transforms, packed rows that start as the unit vectors.  A vanished
+    row's transform has 1 in its own field, where no pivot row and no other
+    vanished row is nonzero, so these vectors are independent.
+    """
+    p = PRIME
+    rows = len(m)
+    k = min(rows, cols)
+    w, low, high = _layout(k, cols)
+    fmask = (1 << w) - 1
+    if cols > _HORNER_MAX:
+        pack = _row_struct(w, cols).pack
+        work = [int.from_bytes(pack(*map(p.__rmod__, row)), "big") for row in m]
+    else:
+        work = []
+        for row in m:
+            x = 0
+            for v in row:
+                x = (x << w) | (v % p)
+            work.append(x)
+    dirty = [False] * rows
+    steps = []
     pivots = []
-    off = 0
+    r = 0
     for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        j = c - off
-        k = next((i for i in range(r, rows) if work[i][j] % p), None)
-        if k is None:
+        off = (cols - 1 - c) * w
+        for i in range(r, rows):
+            v = (work[i] >> off & fmask) % p
+            if v:
+                break
+        else:
             continue
-        work[r], work[k] = work[k], work[r]
-        prow = work[r]
-        inv = pow(prow[j], -1, p)
-        tail = prow[j + 1:]
-        for i in range(r + 1, rows):
-            row = work[i]
-            f = row[j] * inv % p
-            if f:
-                work[i] = [(a - f * b) % p for a, b in zip(row[j + 1:], tail)]
-            else:
-                work[i] = row[j + 1:]
+        work[r], work[i] = work[i], work[r]
+        dirty[r], dirty[i] = dirty[i], dirty[r]
         pivots.append(c)
-        off = c + 1
-    return pivots
+        r += 1
+        if r == k:
+            return pivots, []
+        prow = work[r - 1]
+        inv = 0
+        ups = []
+        for j in range(i + 1, rows):
+            x = work[j] >> off & fmask
+            if x:
+                if not inv:
+                    inv = pow(v, -1, p)
+                    if dirty[r - 1]:
+                        prow = _reduce(prow, low, high)
+                g = p - x * inv % p
+                if g != p:
+                    work[j] += g * prow
+                    dirty[j] = True
+                    ups.append((j, g))
+        steps.append((i, ups))
+    w, low, high = _layout(k, rows)
+    fmask = (1 << w) - 1
+    trans = [1 << (j * w) for j in range(rows)]
+    dirty = [False] * rows
+    for s, (i, ups) in enumerate(steps):
+        trans[s], trans[i] = trans[i], trans[s]
+        dirty[s], dirty[i] = dirty[i], dirty[s]
+        prow = trans[s]
+        if ups and dirty[s]:
+            prow = _reduce(prow, low, high)
+        for j, g in ups:
+            trans[j] += g * prow
+            dirty[j] = True
+    return pivots, [[(t >> (j * w) & fmask) % p for j in range(rows)] for t in trans[r:]]
+
+
+def _lift(y: list[int]) -> list[int] | None:
+    """An integer vector congruent mod PRIME to a nonzero multiple of y,
+    its entries recovered by rational reconstruction within _LIFT_BOUND,
+    or None.
+
+    A running denominator d is kept: d * y_i mod p is taken as it is when
+    it lies within the bound, and is otherwise reconstructed as n / e with
+    |n|, e <= bound, the entries so far being multiplied by e.  d stays
+    within the bound, so below p, and d * y is a nonzero multiple of y mod p.
+    """
+    p = PRIME
+    half = p >> 1
+    bound = _LIFT_BOUND
+    out: list[int] = []
+    den = 1
+    for u in y:
+        v = u * den % p
+        if v > half:
+            v -= p
+        if -bound <= v <= bound:
+            out.append(v)
+            continue
+        r0, r1, t0, t1 = p, v % p, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        den *= t1
+        if not 0 < t1 <= bound or den > bound:
+            return None
+        out = [x * t1 for x in out]
+        out.append(r1)
+    return out
+
+
+def _kernel_certified(m: list[Sequence[int]], kernel: list[list[int]]) -> bool:
+    """Whether every vector of `kernel` lifts to an integer y with y . m = 0.
+
+    y . m is 0 mod p, since y is a multiple of a left-kernel vector mod p.
+    So it is 0 when sum_i |y_i| max_j |m_ij|, which bounds each of its
+    entries, is below p; otherwise it is summed exactly.
+    """
+    sizes = [max(max(row), -min(row)) for row in m]
+    for y in kernel:
+        v = _lift(y)
+        if v is None:
+            return False
+        if sum(abs(a) * s for a, s in zip(v, sizes)) >= PRIME and any(
+            sum(map(mul, v, col)) for col in zip(*m)
+        ):
+            return False
+    return True
 
 
 def _pivots_fraction_free(m: list[Sequence[int]], cols: int) -> list[int]:
@@ -135,7 +290,7 @@ def _pivots_fraction_free(m: list[Sequence[int]], cols: int) -> list[int]:
     as in `_bareiss`, every entry is then a minor, so the division is exact.
     A row with 0 in the pivot column is still scaled, to p * row // prev.
     Rows above the pivot are left alone, and rows below it are kept only
-    right of the pivot column, as in `_pivots_mod_p`.
+    right of the pivot column, since their entries to its left are 0.
     """
     work = list(m)
     rows = len(work)
@@ -173,16 +328,20 @@ def pivot_columns(rows: Iterable[Sequence], cols: int) -> list[int]:
     """Ascending indices of columns that form a basis of the column space,
     for rows of ints or Fractions.
 
-    The pivot columns mod PRIME are returned when they number min(rows,
-    cols): a nonzero maximal minor mod p is nonzero over Q, so those
-    columns are independent, and there are rank many.  Otherwise the
-    forward fraction-free elimination gives the exact pivot columns.
+    The pivot columns mod PRIME are independent over Q, since they have a
+    nonzero minor mod p.  They are returned when they number min(rows,
+    cols), or when the left-kernel vectors of the vanished rows lift to
+    integer vectors that annihilate the rows, which bounds the rank by
+    their number.  Otherwise the forward fraction-free elimination gives
+    the exact pivot columns.
     """
     m = _integer_rows(rows)
-    pivots = _pivots_mod_p(m, cols)
-    if len(pivots) == min(len(m), cols):
-        return pivots
-    return _pivots_fraction_free(m, cols)
+    if not m or not cols:
+        return []
+    pivots, kernel = _pivots_mod_prime(m, cols)
+    if kernel and not _kernel_certified(m, kernel):
+        return _pivots_fraction_free(m, cols)
+    return pivots
 
 
 def rank(rows: Iterable[Sequence], cols: int) -> int:
@@ -197,8 +356,12 @@ class QMatrix:
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
         """Rows of rationals; `cols` is required to disambiguate a matrix
-        with zero rows but a positive number of columns."""
-        data = tuple(tuple(map(exact, row)) for row in entries)
+        with zero rows but a positive number of columns.  A row whose cells
+        are all ints is kept as it is; `exact` normalizes the others."""
+        data = tuple(
+            row if {int}.issuperset(map(type, row)) else tuple(map(exact, row))
+            for row in map(tuple, entries)
+        )
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else (cols or 0)

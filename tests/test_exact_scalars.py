@@ -71,6 +71,20 @@ def test_int_and_integral_fraction_coefficients_are_interchangeable():
     assert hash(m) == hash(QMatrix([[2, Fraction(1, 3)]]))
 
 
+def test_qmatrix_keeps_int_rows_and_normalizes_the_rest():
+    row = (1, -2, 3)
+    m = QMatrix([row, [Fraction(4, 2), True, Fraction(1, 3)]])
+    assert m.data[0] is row
+    assert m.data[1] == (2, 1, Fraction(1, 3))
+    assert [type(x) for x in m.data[1]] == [int, int, Fraction]
+    for inexact in ([[1, 0.5]], [[2.0, 1]], [(1, 2), [3, 4.0]]):
+        with pytest.raises(TypeError):
+            QMatrix(inexact)
+    for ragged in ([[1, 2], [3]], [[1, 2], [Fraction(1, 2)]]):
+        with pytest.raises(ValueError, match="ragged"):
+            QMatrix(ragged)
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
 def test_pullbacks_and_strata_are_exact(n, d):
     pres = normal_presentation(VeroneseContext(n, d))

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -256,9 +258,11 @@ def _fallback_matrices():
 
 
 def _scaled_pivot_matrices():
-    """Rank-deficient tall and wide integer matrices, so that linalg.rank
-    falls back to the exact elimination, in which a row below a pivot
-    p != prev has 0 in the pivot column and must still be scaled by p / prev.
+    """Rank-deficient tall and wide integer matrices on which the forward
+    fraction-free elimination meets a row below a pivot p != prev with 0 in
+    the pivot column, which must still be scaled by p / prev.  linalg.rank
+    certifies their modular ranks, so `_pivots_fraction_free` is also called
+    on them directly.
 
     The first two are hand-made.  In both, pivot 3 over prev 1 and then
     pivot 2 over prev 3 have a zero below them, and the rows scaled by
@@ -295,14 +299,201 @@ def test_rank_exact_when_modular_rank_drops():
         want = len(QMatrix(rows, cols=cols).rref()[1])
         assert want < min(len(rows), cols)
         assert rank(rows, cols) == want
+        _, ref_pivots = _reference_rref(rows, cols)
+        assert linalg._pivots_fraction_free(linalg._integer_rows(rows), cols) == list(ref_pivots)
     dropped = 0
     for rows, cols in _fallback_matrices():
         _, ref_pivots = _reference_rref(rows, cols)
         assert rank(rows, cols) == len(ref_pivots)
         assert QMatrix(rows, cols=cols).rank() == len(ref_pivots)
-        rank_p = len(linalg._pivots_mod_p(linalg._integer_rows(rows), cols))
+        rank_p = len(linalg._pivots_mod_prime(linalg._integer_rows(rows), cols)[0])
         assert rank_p < min(len(rows), cols)
         dropped += rank_p < len(ref_pivots)
     assert rank([[PRIME]], 1) == 1
     # the modular rank is strictly below the exact one on most of them
     assert dropped >= 40
+
+
+def _spy(monkeypatch) -> Counter:
+    """Counts of left-kernel certificates accepted and refused, and of
+    fraction-free fallbacks, in calls of linalg.rank."""
+    counts = Counter()
+    certified = linalg._kernel_certified
+    fraction_free = linalg._pivots_fraction_free
+
+    def spy_certified(m, kernel):
+        ok = certified(m, kernel)
+        counts["certified" if ok else "refused"] += 1
+        return ok
+
+    def spy_fraction_free(m, cols):
+        counts["bareiss"] += 1
+        return fraction_free(m, cols)
+
+    monkeypatch.setattr(linalg, "_kernel_certified", spy_certified)
+    monkeypatch.setattr(linalg, "_pivots_fraction_free", spy_fraction_free)
+    return counts
+
+
+def test_prime_is_prime():
+    """Deterministic Miller-Rabin: these twelve bases decide every n below
+    3.3 * 10^24."""
+    n, d, s = PRIME, PRIME - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            pytest.fail(f"{a} witnesses that PRIME is composite")
+
+
+def test_packed_fields_cannot_carry():
+    """After k updates a field is below p + k (p - 1)(2p - 1), which the
+    width of `_layout` holds; `_reduce` keeps every field mod p and brings
+    it below 2p, also from the largest field the width holds."""
+    p = PRIME
+    for k in range(1, 400):
+        w, _, _ = linalg._layout(k, 1)
+        assert p + k * (p - 1) * (2 * p - 1) < 1 << w
+        assert w % 8 == 0
+    assert linalg._layout(2**29 - 1, 1)[0] <= 120
+    for k in (1, 40, 2**29 - 1):
+        w, low, high = linalg._layout(k, 5)
+        fields = [(1 << w) - 1, p, 2 * p - 1, (1 << w) // 3, 0]
+        x = sum(f << (w * i) for i, f in enumerate(fields))
+        y = linalg._reduce(x, low, high)
+        out = [(y >> (w * i)) & ((1 << w) - 1) for i in range(5)]
+        assert y >> (5 * w) == 0
+        assert all(f < 2 * p for f in out)
+        assert [f % p for f in out] == [f % p for f in fields]
+
+
+def test_modular_kernel_vectors():
+    """A deficient modular rank comes with one vector per vanished row; each
+    is 0 against the rows mod PRIME and has 1 in an entry where the others
+    are 0, so they are independent."""
+    deficient = 0
+    for rows, cols in chain(_oracle_matrices(600), _fallback_matrices(), _scaled_pivot_matrices()):
+        m = linalg._integer_rows(rows)
+        if not m or not cols:
+            continue
+        pivots, kernel = linalg._pivots_mod_prime(m, cols)
+        if len(pivots) == min(len(m), cols):
+            assert kernel == []
+            continue
+        deficient += 1
+        assert len(kernel) == len(m) - len(pivots)
+        for y in kernel:
+            assert all(sum(a * b for a, b in zip(y, col)) % PRIME == 0 for col in zip(*m))
+            others = [z for z in kernel if z is not y]
+            assert any(a == 1 and all(z[j] == 0 for z in others) for j, a in enumerate(y))
+    assert deficient >= 200
+
+
+def test_certificate_and_fallback_both_run(monkeypatch):
+    """Over the oracle, fallback and scaled matrices, deficient modular
+    ranks are certified by their left kernels, and the fraction-free
+    elimination runs exactly when a certificate is refused."""
+    counts = _spy(monkeypatch)
+    matrices = chain(_oracle_matrices(600), _fallback_matrices(), _scaled_pivot_matrices())
+    for rows, cols in matrices:
+        assert rank(rows, cols) == len(_reference_rref(rows, cols)[1])
+    assert counts["bareiss"] == counts["refused"]
+    assert counts["certified"] >= 150 and counts["refused"] >= 50
+
+
+def test_lift_zero_mod_prime_is_refused(monkeypatch):
+    """The vanished row lifts to (-1, 1), which is 0 mod PRIME against the
+    rows but not over Z, so the rank stays 2."""
+    counts = _spy(monkeypatch)
+    m = [[1, 1], [1, 1 + PRIME]]
+    pivots, kernel = linalg._pivots_mod_prime(m, 2)
+    assert pivots == [0]
+    assert [linalg._lift(y) for y in kernel] == [[-1, 1]]
+    assert rank(m, 2) == 2
+    assert counts == Counter(refused=1, bareiss=1)
+
+
+def test_lift_beyond_bound_falls_back(monkeypatch):
+    """Rows v and 2^30 v: the primitive left-kernel vector (2^30, -1) has an
+    entry above the lift bound, so the fraction-free elimination decides."""
+    counts = _spy(monkeypatch)
+    v = [3, -1, 4, 1, 5, -9]
+    m = [v, [2**30 * x for x in v]]
+    assert 2**30 > linalg._LIFT_BOUND
+    assert linalg.pivot_columns(m, 6) == [0]
+    assert counts == Counter(refused=1, bareiss=1)
+
+
+def test_large_entries_certified_by_exact_product(monkeypatch):
+    """Rows of residues near PRIME and small integer combinations of them:
+    the kernel vectors are small, |y| times the entries is not below
+    PRIME, and the exact product y . A = 0 certifies the rank."""
+    rng = SplitMix64(89)
+    cases = []
+    for rows, cols, r in ((6, 9, 4), (9, 6, 3), (12, 12, 7)):
+        base = [[rng.next_below(PRIME) for _ in range(cols)] for _ in range(r)]
+        m = base + [
+            [a - 2 * b for a, b in zip(base[rng.next_below(r)], base[rng.next_below(r)])]
+            for _ in range(rows - r)
+        ]
+        assert len(linalg._pivots_fraction_free(m, cols)) == r
+        cases.append((m, cols, r))
+    counts = _spy(monkeypatch)
+    for m, cols, r in cases:
+        assert rank(m, cols) == r
+    assert counts == Counter(certified=3)
+
+
+def test_worst_case_residues():
+    """Entries PRIME - 1 everywhere and off the diagonal, random residues,
+    and rank-deficient products of random residues, on 40x40, 60x20 and
+    20x60 matrices: ranks equal the fraction-free ranks."""
+    rng = SplitMix64(97)
+    for rows, cols in ((40, 40), (60, 20), (20, 60)):
+        top = [[PRIME - 1] * cols for _ in range(rows)]
+        assert rank(top, cols) == 1
+        near = [[PRIME - 1 - (i == j) for j in range(cols)] for i in range(rows)]
+        assert rank(near, cols) == min(rows, cols)
+        full = [[rng.next_below(PRIME) for _ in range(cols)] for _ in range(rows)]
+        inner = min(rows, cols) // 2
+        a = [[rng.next_below(PRIME) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.next_below(PRIME) for _ in range(cols)] for _ in range(inner)]
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        for m, want in ((full, min(rows, cols)), (product, inner)):
+            assert rank(m, cols) == len(linalg._pivots_fraction_free(m, cols)) == want
+
+
+def test_rank_metamorphic(monkeypatch):
+    """On the oracle matrices the rank is unchanged by permuting the rows,
+    by scaling a row by a nonzero integer, and by appending the sum of two
+    rows; the appended row makes most modular ranks deficient, so the
+    certificate runs on them."""
+    counts = _spy(monkeypatch)
+    rng = SplitMix64(101)
+    appended = 0
+    for rows, cols in _oracle_matrices(600):
+        want = rank(rows, cols)
+        if not rows:
+            continue
+        perm = list(rows)
+        for i in range(len(perm) - 1, 0, -1):
+            j = rng.next_below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        assert rank(perm, cols) == want
+        scaled = list(rows)
+        i = rng.next_below(len(rows))
+        c = rng.next_int(1, 9) * (1 if rng.next_below(2) else -1)
+        scaled[i] = [c * x for x in rows[i]]
+        assert rank(scaled, cols) == want
+        a, b = rng.next_below(len(rows)), rng.next_below(len(rows))
+        before = counts["certified"] + counts["refused"]
+        assert rank(rows + [[x + y for x, y in zip(rows[a], rows[b])]], cols) == want
+        appended += counts["certified"] + counts["refused"] > before
+    assert appended >= 200
