@@ -4,11 +4,13 @@ Scalars follow one convention, decided only by ``exact``: an ``int`` when
 the value is integral, otherwise a ``fractions.Fraction`` in lowest terms
 with a positive denominator.  Integer data therefore stays in machine
 integers end to end, and a quotient of two scalars must be written
-``Fraction(a, b)``, since ``a / b`` of two ints is a float.  Reduced row
-echelon forms and kernels come from one fraction-free Gauss-Jordan
-elimination (Bareiss) of the rows with their denominators cleared.  Everything
+``Fraction(a, b)``, since ``a / b`` of two ints is a float.  Everything
 downstream -- splitting types, dual identities, slope tables -- is decided
 by exact ranks and kernels, so no floating point ever enters.
+
+The one exact elimination, ``_echelon``, is a forward fraction-free
+(Bareiss) pass over the rows with their denominators cleared; ``rref``,
+and ``kernel_basis`` through it, finish it by back-substitution in integers.
 
 ``pivot_columns``, and ``rank`` as its length, rest on one forward
 elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed
@@ -25,21 +27,22 @@ Q.  A modular rank equal to min(rows, cols) is therefore exact.  A smaller
 one is certified by its own left kernel: the elimination's steps, replayed
 on the row transforms, give one vector mod p per vanished row, with 1 in
 that row's own entry and 0 in every other vanished row's entry, so the
-vectors are independent.  Each is lifted to an integer vector y by rational
-reconstruction, entries up to isqrt(p // 2), about 2^22.  y . A = 0 mod p
-by construction; it is 0 over Z when |y| times the largest entry of each
-row, summed, stays below p, and otherwise the product is summed exactly.
-rows - r independent integer vectors with y . A = 0 give rank_Q <= r, so
-the modular pivots are a basis.  Only when a lift or a product fails does
-a forward-only fraction-free (Bareiss) elimination give the exact pivot
-columns.  Nothing here is probabilistic, and no float is used.
+vectors are independent.  Each is lifted to an integer vector y, its
+entries recovered by rational reconstruction as n / e with |n|, e <=
+isqrt(p // 2), about 2^22, and scaled by a common denominator.  y . A = 0
+mod p by construction; it is 0 over Z when |y| times the largest entry of
+each row, summed, stays below p, and otherwise the product is summed
+exactly.  rows - r independent integer vectors with y . A = 0 give rank_Q
+<= r, so the modular pivots are a basis.  Only when a lift or a product fails does
+``_echelon`` give the exact pivot columns.  Nothing here is probabilistic,
+and no float is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from struct import Struct
 from typing import Iterable, Sequence
@@ -79,40 +82,6 @@ def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
             row = [x.numerator * (den // x.denominator) for x in row]
         out.append(row)
     return out
-
-
-def _bareiss(m: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], tuple[int, ...], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
-
-    A step with pivot p in column c replaces every other row by
-    (p * row - row[c] * pivot_row) // prev, prev being the pivot before p.
-    By Sylvester's identity every entry is then a minor of the integer
-    matrix, so the division is exact.  Rows of `m` are replaced, never
-    mutated.  Returns the integer rows, the pivot columns and the last pivot
-    d; every pivot row ends with d at its own pivot column and 0 at the
-    others, so rows / d is the RREF.
-    """
-    rows = len(m)
-    pivots = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        k = next((i for i in range(r, rows) if m[i][c]), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i in range(rows):
-            f = m[i][c]
-            if i == r or (not f and p == prev):
-                continue
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
-        prev = p
-        pivots.append(c)
-    return m, tuple(pivots), prev
 
 
 @lru_cache(maxsize=256)
@@ -226,14 +195,15 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
 
 
 def _lift(y: list[int]) -> list[int] | None:
-    """An integer vector congruent mod PRIME to a nonzero multiple of y,
-    its entries recovered by rational reconstruction within _LIFT_BOUND,
-    or None.
+    """An integer vector congruent mod PRIME to a nonzero multiple of y, or
+    None.
 
     A running denominator d is kept: d * y_i mod p is taken as it is when
-    it lies within the bound, and is otherwise reconstructed as n / e with
-    |n|, e <= bound, the entries so far being multiplied by e.  d stays
-    within the bound, so below p, and d * y is a nonzero multiple of y mod p.
+    it lies within _LIFT_BOUND.  Otherwise y_i itself is reconstructed as
+    n / e with |n|, e <= bound, or None is returned; d becomes lcm(d, e),
+    the entries so far are rescaled to match, and n * (d // e) is appended.
+    Every prime factor of d is at most the bound, so below p, and d * y is
+    a nonzero multiple of y mod p.
     """
     p = PRIME
     half = p >> 1
@@ -247,18 +217,20 @@ def _lift(y: list[int]) -> list[int] | None:
         if -bound <= v <= bound:
             out.append(v)
             continue
-        r0, r1, t0, t1 = p, v % p, 0, 1
+        r0, r1, t0, t1 = p, u, 0, 1
         while r1 > bound:
             q = r0 // r1
             r0, r1 = r1, r0 - q * r1
             t0, t1 = t1, t0 - q * t1
         if t1 < 0:
             r1, t1 = -r1, -t1
-        den *= t1
-        if not 0 < t1 <= bound or den > bound:
+        if t1 > bound:
             return None
-        out = [x * t1 for x in out]
-        out.append(r1)
+        grow = t1 // gcd(den, t1)
+        if grow > 1:
+            out = [x * grow for x in out]
+            den *= grow
+        out.append(r1 * (den // t1))
     return out
 
 
@@ -281,16 +253,18 @@ def _kernel_certified(m: list[Sequence[int]], kernel: list[list[int]]) -> bool:
     return True
 
 
-def _pivots_fraction_free(m: list[Sequence[int]], cols: int) -> list[int]:
-    """Exact pivot columns of integer rows by forward one-step Bareiss
-    elimination.
+def _echelon(m: list[Sequence[int]], cols: int) -> tuple[list[int], list[Sequence[int]]]:
+    """Exact pivot columns of integer rows, and the rows, by one forward
+    fraction-free (one-step Bareiss) elimination.
 
-    A step with pivot p replaces each row below it by
-    (p * row - row[c] * pivot_row) // prev, prev being the pivot before p;
-    as in `_bareiss`, every entry is then a minor, so the division is exact.
-    A row with 0 in the pivot column is still scaled, to p * row // prev.
-    Rows above the pivot are left alone, and rows below it are kept only
-    right of the pivot column, since their entries to its left are 0.
+    A step with pivot p in column c replaces each row below it by
+    (p * row - row[c] * pivot_row) // prev, prev being the pivot before p.
+    By Sylvester's identity every entry is then a minor of the integer
+    matrix, so the division is exact.  A row with 0 in the pivot column is
+    still scaled, to p * row // prev.  Rows above the pivot are left alone;
+    rows below it are replaced by their part right of the pivot column,
+    since the rest is 0.  So pivot row k holds the columns right of pivot
+    k - 1, and the rows after the last pivot row are 0.
     """
     work = list(m)
     rows = len(work)
@@ -321,7 +295,7 @@ def _pivots_fraction_free(m: list[Sequence[int]], cols: int) -> list[int]:
         prev = p
         pivots.append(c)
         off = c + 1
-    return pivots
+    return pivots, work
 
 
 def pivot_columns(rows: Iterable[Sequence], cols: int) -> list[int]:
@@ -332,15 +306,14 @@ def pivot_columns(rows: Iterable[Sequence], cols: int) -> list[int]:
     nonzero minor mod p.  They are returned when they number min(rows,
     cols), or when the left-kernel vectors of the vanished rows lift to
     integer vectors that annihilate the rows, which bounds the rank by
-    their number.  Otherwise the forward fraction-free elimination gives
-    the exact pivot columns.
+    their number.  Otherwise `_echelon` gives the exact pivot columns.
     """
     m = _integer_rows(rows)
     if not m or not cols:
         return []
     pivots, kernel = _pivots_mod_prime(m, cols)
     if kernel and not _kernel_certified(m, kernel):
-        return _pivots_fraction_free(m, cols)
+        return _echelon(m, cols)[0]
     return pivots
 
 
@@ -446,12 +419,32 @@ class QMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns."""
-        m, pivots, d = _bareiss(_integer_rows(self.data), self.cols)
-        return (
-            QMatrix([[Fraction(x, d) for x in row] for row in m], cols=self.cols),
-            pivots,
-        )
+        """Reduced row echelon form and pivot columns.
+
+        Pivot row k of `_echelon` gets back its pivots[k - 1] + 1 trimmed
+        zeros.  From the last pivot up, the pivot row with pivot p in column
+        c clears column c of each row above it, row <- p * row - row[c] *
+        pivot_row, divided by its content; this keeps the row space and the
+        pivots.  Each row is then divided by its own pivot.
+        """
+        pivots, work = _echelon(_integer_rows(self.data), self.cols)
+        red = [[0] * (self.cols - len(row)) + list(row) for row in work[: len(pivots)]]
+        for k in range(len(pivots) - 1, 0, -1):
+            prow = red[k]
+            c = pivots[k]
+            p = prow[c]
+            for i in range(k):
+                f = red[i][c]
+                if f:
+                    row = [p * a - f * b for a, b in zip(red[i], prow)]
+                    g = gcd(*row)
+                    red[i] = [a // g for a in row]
+        out = []
+        for c, row in zip(pivots, red):
+            d = row[c]
+            out.append([a // d if not a % d else Fraction(a, d) for a in row])
+        out += [[0] * self.cols] * (self.rows - len(pivots))
+        return QMatrix(out, cols=self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return rank(self.data, self.cols)

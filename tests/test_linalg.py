@@ -163,7 +163,7 @@ def test_rowspan_membership():
 def test_elimination_matches_fraction_reference():
     shapes = set()
     deficient = negative_pivot = 0
-    for rows, cols in _oracle_matrices(600):
+    for rows, cols in chain(_oracle_matrices(600), _scaled_pivot_matrices(), _fallback_matrices()):
         m = QMatrix(rows, cols=cols)
         ref_rows, ref_pivots = _reference_rref(rows, cols)
         red, pivots = m.rref()
@@ -198,7 +198,7 @@ def test_pivot_columns_form_a_basis():
     matrices = list(_oracle_matrices(600)) + list(_fallback_matrices())
     for rows, cols in matrices:
         _, ref_pivots = _reference_rref(rows, cols)
-        exact_pivots = linalg._pivots_fraction_free(linalg._integer_rows(rows), cols)
+        exact_pivots = linalg._echelon(linalg._integer_rows(rows), cols)[0]
         assert exact_pivots == list(ref_pivots)
         picked = linalg.pivot_columns(rows, cols)
         assert picked == sorted(set(picked))
@@ -206,7 +206,7 @@ def test_pivot_columns_form_a_basis():
         assert _independent(rows, cols, picked)
     # column 0 vanishes mod PRIME, so the modular pivot is column 1
     assert linalg.pivot_columns([[PRIME, 1]], 2) == [1]
-    assert linalg._pivots_fraction_free([[PRIME, 1]], 2) == [0]
+    assert linalg._echelon([[PRIME, 1]], 2)[0] == [0]
 
 
 def test_rowspan_agrees_with_rank():
@@ -261,8 +261,8 @@ def _scaled_pivot_matrices():
     """Rank-deficient tall and wide integer matrices on which the forward
     fraction-free elimination meets a row below a pivot p != prev with 0 in
     the pivot column, which must still be scaled by p / prev.  linalg.rank
-    certifies their modular ranks, so `_pivots_fraction_free` is also called
-    on them directly.
+    certifies their modular ranks, so `_echelon` is also called on them
+    directly.
 
     The first two are hand-made.  In both, pivot 3 over prev 1 and then
     pivot 2 over prev 3 have a zero below them, and the rows scaled by
@@ -300,7 +300,7 @@ def test_rank_exact_when_modular_rank_drops():
         assert want < min(len(rows), cols)
         assert rank(rows, cols) == want
         _, ref_pivots = _reference_rref(rows, cols)
-        assert linalg._pivots_fraction_free(linalg._integer_rows(rows), cols) == list(ref_pivots)
+        assert linalg._echelon(linalg._integer_rows(rows), cols)[0] == list(ref_pivots)
     dropped = 0
     for rows, cols in _fallback_matrices():
         _, ref_pivots = _reference_rref(rows, cols)
@@ -319,7 +319,7 @@ def _spy(monkeypatch) -> Counter:
     fraction-free fallbacks, in calls of linalg.rank."""
     counts = Counter()
     certified = linalg._kernel_certified
-    fraction_free = linalg._pivots_fraction_free
+    fraction_free = linalg._echelon
 
     def spy_certified(m, kernel):
         ok = certified(m, kernel)
@@ -331,7 +331,7 @@ def _spy(monkeypatch) -> Counter:
         return fraction_free(m, cols)
 
     monkeypatch.setattr(linalg, "_kernel_certified", spy_certified)
-    monkeypatch.setattr(linalg, "_pivots_fraction_free", spy_fraction_free)
+    monkeypatch.setattr(linalg, "_echelon", spy_fraction_free)
     return counts
 
 
@@ -431,6 +431,23 @@ def test_lift_beyond_bound_falls_back(monkeypatch):
     assert counts == Counter(refused=1, bareiss=1)
 
 
+def test_lift_reconstructs_each_entry(monkeypatch):
+    """Rows b u, e w and -(x u + z w) for primes b, e near 10^6: the
+    primitive left-kernel vector (x e, z b, b e) has an entry far above the
+    lift bound, but each entry of the modular one, (x / b, z / e, 1), is a
+    fraction within it, so one prime certifies the rank and the
+    fraction-free elimination does not run."""
+    counts = _spy(monkeypatch)
+    b, e, x, z = 1000003, 999983, 3, 5
+    u, w = (1, 2, 0, 1), (0, 1, 3, 1)
+    m = [[b * a for a in u], [e * a for a in w], [-(x * a + z * c) for a, c in zip(u, w)]]
+    pivots, kernel = linalg._pivots_mod_prime(m, 4)
+    assert pivots == [0, 1]
+    assert [linalg._lift(y) for y in kernel] == [[x * e, z * b, b * e]]
+    assert rank(m, 4) == 2
+    assert counts == Counter(certified=1)
+
+
 def test_large_entries_certified_by_exact_product(monkeypatch):
     """Rows of residues near PRIME and small integer combinations of them:
     the kernel vectors are small, |y| times the entries is not below
@@ -443,7 +460,7 @@ def test_large_entries_certified_by_exact_product(monkeypatch):
             [a - 2 * b for a, b in zip(base[rng.next_below(r)], base[rng.next_below(r)])]
             for _ in range(rows - r)
         ]
-        assert len(linalg._pivots_fraction_free(m, cols)) == r
+        assert len(linalg._echelon(m, cols)[0]) == r
         cases.append((m, cols, r))
     counts = _spy(monkeypatch)
     for m, cols, r in cases:
@@ -467,7 +484,7 @@ def test_worst_case_residues():
         b = [[rng.next_below(PRIME) for _ in range(cols)] for _ in range(inner)]
         product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
         for m, want in ((full, min(rows, cols)), (product, inner)):
-            assert rank(m, cols) == len(linalg._pivots_fraction_free(m, cols)) == want
+            assert rank(m, cols) == len(linalg._echelon(m, cols)[0]) == want
 
 
 def test_rank_metamorphic(monkeypatch):
