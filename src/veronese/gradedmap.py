@@ -11,6 +11,7 @@ twist lists negated.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -185,8 +186,8 @@ class GradedMap:
         entries: Sequence[Sequence[HomPoly]],
     ):
         self.num_vars = num_vars
-        self.source_twists = tuple(int(s) for s in source_twists)
-        self.target_twists = tuple(int(t) for t in target_twists)
+        self.source_twists = tuple(map(operator.index, source_twists))
+        self.target_twists = tuple(map(operator.index, target_twists))
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != len(self.target_twists):
             raise ValueError("row count != number of target twists")

@@ -329,18 +329,23 @@ class QMatrix:
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
         """Rows of rationals; `cols` is required to disambiguate a matrix
-        with zero rows but a positive number of columns.  A row whose cells
-        are all ints is kept as it is; `exact` normalizes the others."""
+        with zero rows but a positive number of columns, and must match the
+        row width when given.  A row whose cells are all ints is kept as it
+        is; `exact` normalizes the others."""
         data = tuple(
             row if {int}.issuperset(map(type, row)) else tuple(map(exact, row))
             for row in map(tuple, entries)
         )
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        elif cols < 0:
+            raise ValueError(f"negative column count {cols}")
         self.data = data
         self.rows = len(data)
-        self.cols = len(data[0]) if data else (cols or 0)
+        self.cols = cols
         for row in data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+            if len(row) != cols:
+                raise ValueError(f"ragged rows: width {len(row)}, expected {cols}")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":

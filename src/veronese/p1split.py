@@ -108,12 +108,6 @@ class SplittingType:
         return {"degrees": list(self.degrees), "rank": self.rank, "degree": self.degree}
 
 
-def _minor_degree_bound(pres: GradedMap) -> int:
-    p, q = pres.shape
-    top = sorted(pres.target_twists, reverse=True)[:q]
-    return sum(top) - sum(pres.source_twists)
-
-
 def _assert_injective(pres: GradedMap) -> None:
     """Exact sheaf-injectivity test by scalar ranks at D+1 points.
 
@@ -124,7 +118,8 @@ def _assert_injective(pres: GradedMap) -> None:
     p, q = pres.shape
     if q == 0:
         return
-    bound = _minor_degree_bound(pres)
+    top = sorted(pres.target_twists, reverse=True)[:q]
+    bound = sum(top) - sum(pres.source_twists)
     if p < q or bound < 0:
         raise NotInjectiveError("presentation not injective")
     for k in range(bound + 1):
@@ -224,11 +219,8 @@ def splitting_type(pres: GradedMap) -> SplittingType:
         k1, k2 = k0, k1
     if not surjective:
         _assert_injective(pres)
-    if len(degrees) != rank:
-        raise NotLocallyFreeError(
-            f"cokernel not locally free: kernel module has {len(degrees)} "
-            f"generators in the window, expected {rank}"
-        )
+    # injective now: the kernel module is free of rank p - q with every
+    # degree in [lo, hi], so the scan has found all `rank` generators
     st = SplittingType(tuple(degrees))
     if st.degree != want:
         # the computed degrees describe the torsion-free quotient; a deficit

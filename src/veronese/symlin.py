@@ -9,7 +9,9 @@ explicit matrices on monomial bases and compared entry by entry.
 The identification of (Sym^i W)^* with Sym^i(W^*) uses the averaging
 pairing <w_1...w_i, l_1...l_i> = (1/i!) sum over permutations of the
 products l_{sigma(k)}(w_k); on monomials this pairing is diagonal with
-entry a!/i! at the exponent vector a.  All denominators stay exact.
+entry a!/i! at the exponent vector a.  Both symmetrize-then-dualize routes
+are one weighted transpose, `_dualize`, by these weights on each side; the
+other two routes share no code with it.  All denominators stay exact.
 """
 
 from __future__ import annotations
@@ -85,19 +87,24 @@ def _dual_weights(dim: int, i: int) -> list[int]:
     return weights
 
 
-def injection_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
-    """Route one for Sym^i P^* -> Sym^i N^*: transpose Sym^i(psi), then
-    translate abstract duals to monomials of the dual variables."""
-    s = sym_power(ses.psi, i)
-    w_n = _dual_weights(ses.phi.rows, i)
-    w_p = _dual_weights(ses.psi.rows, i)
+def _dualize(f: QMatrix, row_weights: list[int], col_weights: list[int]) -> QMatrix:
+    """The pairing-weighted transpose of f: entry (r, c) is f[c, r] times
+    row_weights[r] / col_weights[c], which translates abstract duals to
+    monomials of the dual variables on both sides."""
     return QMatrix(
         [
-            [Fraction(w_n[r] * x, w_p[c]) if x else 0 for c, x in enumerate(col)]
-            for r, col in enumerate(zip(*s.data))
+            [Fraction(row_weights[r] * x, col_weights[c]) if x else 0 for c, x in enumerate(col)]
+            for r, col in enumerate(zip(*f.data))
         ],
-        cols=s.rows,
+        cols=f.rows,
     )
+
+
+def injection_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
+    """Route one for Sym^i P^* -> Sym^i N^*: the weighted transpose of
+    Sym^i(psi)."""
+    s = sym_power(ses.psi, i)
+    return _dualize(s, _dual_weights(ses.phi.rows, i), _dual_weights(ses.psi.rows, i))
 
 
 def injection_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
@@ -112,35 +119,22 @@ def _mult_injection(ses: LinearSES, i: int) -> QMatrix:
     m_dim = ses.phi.cols
     src_monos = monomials(n_dim, i - 1)
     tgt_index = monomial_index(n_dim, i)
-    tgt_count = len(monomials(n_dim, i))
-    cols = []
-    for b in src_monos:
-        for k in range(m_dim):
-            col = [0] * tgt_count
-            for j in range(n_dim):
-                c = ses.phi[(j, k)]
-                if c:
-                    mono = b[:j] + (b[j] + 1,) + b[j + 1 :]
-                    col[tgt_index[mono]] += c
-            cols.append(col)
-    return QMatrix([[cols[j][r] for j in range(len(cols))] for r in range(tgt_count)])
+    rows = [[0] * (len(src_monos) * m_dim) for _ in range(len(tgt_index))]
+    for bi, b in enumerate(src_monos):
+        for j in range(n_dim):
+            row = rows[tgt_index[b[:j] + (b[j] + 1,) + b[j + 1 :]]]
+            for k in range(m_dim):
+                row[bi * m_dim + k] += ses.phi[(j, k)]
+    return QMatrix(rows)
 
 
 def quotient_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
-    """Route one for Sym^i N^* -> Sym^{i-1} N^* (x) M^*: dualize the
-    multiplication injection, with the pairing weights on both sides
-    (the M^* tensor factor pairs plainly)."""
-    inj = _mult_injection(ses, i)
+    """Route one for Sym^i N^* -> Sym^{i-1} N^* (x) M^*: the weighted
+    transpose of the multiplication injection (the M^* tensor factor pairs
+    plainly, so each degree-(i-1) weight repeats dim M times)."""
     m_dim = ses.phi.cols
-    w_low = _dual_weights(ses.phi.rows, i - 1)
-    w_n = _dual_weights(ses.phi.rows, i)
-    return QMatrix(
-        [
-            [Fraction(w_low[r // m_dim] * x, w_n[c]) if x else 0 for c, x in enumerate(col)]
-            for r, col in enumerate(zip(*inj.data))
-        ],
-        cols=inj.rows,
-    )
+    w_low = [w for w in _dual_weights(ses.phi.rows, i - 1) for _ in range(m_dim)]
+    return _dualize(_mult_injection(ses, i), w_low, _dual_weights(ses.phi.rows, i))
 
 
 def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
@@ -150,29 +144,22 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
     m_dim = ses.phi.cols
     src_monos = monomials(n_dim, i)
     low_index = monomial_index(n_dim, i - 1)
-    low_count = len(monomials(n_dim, i - 1))
-    cols = []
-    for a in src_monos:
-        col = [0] * (low_count * m_dim)
+    rows = [[0] * len(src_monos) for _ in range(len(low_index) * m_dim)]
+    for ai, a in enumerate(src_monos):
         for j in range(n_dim):
             if not a[j]:
                 continue
-            b = a[:j] + (a[j] - 1,) + a[j + 1 :]
+            low = low_index[a[:j] + (a[j] - 1,) + a[j + 1 :]] * m_dim
             w = Fraction(a[j], i)
             for k in range(m_dim):
                 c = ses.phi[(j, k)]
                 if c:
-                    col[low_index[b] * m_dim + k] += w * c
-        cols.append(col)
-    return QMatrix(
-        [[cols[j][r] for j in range(len(cols))] for r in range(low_count * m_dim)]
-    )
+                    rows[low + k][ai] += w * c
+    return QMatrix(rows)
 
 
 def check_commute(ses: LinearSES, i: int) -> bool:
     """True iff both routes give identical injection and quotient matrices."""
-    if i < 1:
-        raise ValueError("symmetric power degree must be >= 1")
     inj1 = injection_via_symmetrize_then_dualize(ses, i)
     inj2 = injection_via_dualize_then_symmetrize(ses, i)
     quo1 = quotient_via_symmetrize_then_dualize(ses, i)

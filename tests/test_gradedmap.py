@@ -42,6 +42,17 @@ def _random_map(rng, nv, p, q, slo=-1, shi=0, tlo=1, thi=2):
     return GradedMap(nv, src, tgt, rows)
 
 
+# -- constructor -----------------------------------------------------------
+
+
+def test_twists_must_be_integers():
+    for twist in (0.9, "0"):
+        with pytest.raises(TypeError):
+            GradedMap(2, [twist], [1], [[_var(0)]])
+        with pytest.raises(TypeError):
+            GradedMap(2, [0], [twist], [[_zero()]])
+
+
 # -- compose ---------------------------------------------------------------
 
 

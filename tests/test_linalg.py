@@ -134,6 +134,10 @@ def test_zero_row_matrix_keeps_columns():
     assert m.rank() == 0
     assert len(m.kernel_basis()) == 3
     assert m.transpose().rows == 3 and m.transpose().cols == 0
+    with pytest.raises(ValueError):
+        QMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError):
+        QMatrix([], cols=-2)
 
 
 def test_zero_dimension_products():

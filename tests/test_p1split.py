@@ -372,14 +372,31 @@ def _reparametrized(curve: CurveParam, rng) -> CurveParam:
     return CurveParam(curve.degree, tuple(f.substitute(sub) for f in curve.forms))
 
 
+def _moved(curve: CurveParam, rng) -> CurveParam:
+    """The curve moved by a random full-rank integer matrix A acting on the
+    coordinates of P^n: the forms of A.C are A times the forms of C."""
+    k = len(curve.forms)
+    while True:
+        a = [[rng.next_int(-3, 3) for _ in range(k)] for _ in range(k)]
+        if rank_of(a, k) == k:
+            break
+    zero = HomPoly.zero(2, curve.degree)
+    return CurveParam(
+        curve.degree,
+        tuple(sum((c * f for c, f in zip(row, curve.forms)), zero) for row in a),
+    )
+
+
 @pytest.mark.parametrize(
     "n, d, maker", [(2, 3, random_line), (2, 4, random_line), (3, 2, random_line), (2, 2, rnc), (3, 2, rnc)]
 )
 def test_splitting_type_metamorphic(n, d, maker):
     """The splitting type along a curve is unchanged when every form is
     multiplied by PRIME (the same map to P^n; every stratum is then 0 mod
-    PRIME, so every rank takes the exact fallback) and when the line is
-    reparametrized."""
+    PRIME, so every rank takes the exact fallback), when the line is
+    reparametrized, and when the curve is moved by an element of GL_{n+1}:
+    lines and rational normal curves are each one orbit, and the normal
+    bundle is homogeneous."""
     pres = normal_presentation(VeroneseContext(n, d))
     rng = SplitMix64(1000 * n + d)
     for seed in (1, 2):
@@ -391,6 +408,7 @@ def test_splitting_type_metamorphic(n, d, maker):
         assert all(x % PRIME == 0 for row in rows for x in row)
         assert splitting_type(scaled) == want
         assert splitting_type(pres.pullback(_reparametrized(curve, rng))) == want
+        assert splitting_type(pres.pullback(_moved(curve, rng))) == want
 
 
 # -- h0 profile and direct cohomology --------------------------------------------

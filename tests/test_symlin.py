@@ -125,6 +125,9 @@ def test_quotient_map_zero_phi_needs_valid_ses():
 
 def test_check_commute_trivial_degree():
     assert check_commute(_simple_ses(), 1)
+    for i in (0, -1):
+        with pytest.raises(ValueError, match="symmetric power degree must be >= 1"):
+            check_commute(_simple_ses(), i)
 
 
 def test_check_commute_dims_1_3_2():
