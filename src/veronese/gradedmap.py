@@ -6,26 +6,35 @@ that is negative).  Twist convention: sections of O(a) in twist m are the
 forms of degree a + m; twists always name the line-bundle summands
 themselves, never shifted duals, so dual() is a pure transpose with both
 twist lists negated.
+
+A pullback to the projective line is built as row terms, not forms: for
+each target summand i, the list of (j, b, c) for the terms c s^a t^b of
+entry (i, j), summed straight from the curve's monomial images (the key
+of s^a t^b in `poly.monomial_images` is b).  `splitting_type` reads only
+these; `entries` builds the forms from them on first read, so anything
+that reads entries (equality, strata, dual, compose, JSON) still sees
+the same map.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .poly import (
     HomPoly,
+    monomial_images,
     monomial_index,
     monomials,
     parse_poly,
     render_poly,
     section_dim,
-    substitute_all,
 )
-from .linalg import QMatrix
+from .linalg import QMatrix, exact
 
 
 class TwistMismatchError(ValueError):
@@ -176,7 +185,7 @@ class CurveParam:
 class GradedMap:
     """Matrix of forms between twisted free sheaves."""
 
-    __slots__ = ("num_vars", "source_twists", "target_twists", "entries")
+    __slots__ = ("num_vars", "source_twists", "target_twists", "_entries", "_row_terms", "_origin")
 
     def __init__(
         self,
@@ -208,24 +217,38 @@ class GradedMap:
                     raise ValueError(
                         f"entry ({i},{j}) has degree {e.degree}, expected {want}"
                     )
-        self.entries = rows
+        self._entries = rows
+        self._row_terms = None
+        self._origin = None
 
-    @classmethod
-    def _unchecked(
-        cls,
-        num_vars: int,
-        source_twists: tuple[int, ...],
-        target_twists: tuple[int, ...],
-        entries: Sequence[Sequence[HomPoly]],
-    ) -> "GradedMap":
-        """A map whose entries already have the degrees the twists ask for;
-        nothing is checked."""
-        self = object.__new__(cls)
-        self.num_vars = num_vars
-        self.source_twists = source_twists
-        self.target_twists = target_twists
-        self.entries = tuple(tuple(row) for row in entries)
-        return self
+    @property
+    def entries(self) -> tuple[tuple[HomPoly, ...], ...]:
+        """The p x q matrix of forms.  A pullback builds it here, on first
+        read, from its row terms: entry (i, j) gets e times the degree of
+        the entry it was pulled back from, so a zero entry keeps that
+        degree too."""
+        if self._entries is None:
+            source, e = self._origin
+            rows = []
+            for terms, source_row in zip(self._row_terms, source.entries):
+                degrees = [e * f.degree for f in source_row]
+                forms: list[dict] = [{} for _ in source_row]
+                for j, b, c in terms:
+                    forms[j][degrees[j] - b, b] = c
+                rows.append(tuple(map(HomPoly._unchecked, repeat(2), degrees, forms)))
+            self._entries = tuple(rows)
+        return self._entries
+
+    def row_terms(self) -> list[list[tuple[int, int, int | Fraction]]]:
+        """The terms of a binary map row by row: (j, b, c) for each term
+        c s^a t^b of entry (i, j), listed in row i.  A pullback returns the
+        lists it was built as; any other map flattens its entries."""
+        if self._row_terms is not None:
+            return self._row_terms
+        return [
+            [(j, b, c) for j, e in enumerate(row) for (_, b), c in e.terms.items()]
+            for row in self._entries
+        ]
 
     # -- constructors ----------------------------------------------------------
 
@@ -271,6 +294,7 @@ class GradedMap:
             )
         p, _ = self.shape
         _, q = inner.shape
+        outer_rows, inner_rows = self.entries, inner.entries
         rows = []
         for i in range(p):
             row = []
@@ -278,8 +302,8 @@ class GradedMap:
                 deg = self.target_twists[i] - inner.source_twists[j]
                 acc = HomPoly.zero(self.num_vars, max(deg, 0))
                 for k in range(len(self.source_twists)):
-                    a = self.entries[i][k]
-                    b = inner.entries[k][j]
+                    a = outer_rows[i][k]
+                    b = inner_rows[k][j]
                     if not a.is_zero() and not b.is_zero():
                         acc = acc + a * b
                 row.append(acc)
@@ -289,7 +313,8 @@ class GradedMap:
     def dual(self) -> "GradedMap":
         """Transpose with negated twists: the map between dual twisted frees."""
         p, q = self.shape
-        rows = [[self.entries[i][j] for i in range(p)] for j in range(q)]
+        entries = self.entries
+        rows = [[entries[i][j] for i in range(p)] for j in range(q)]
         return GradedMap(
             self.num_vars,
             tuple(-t for t in self.target_twists),
@@ -307,21 +332,48 @@ class GradedMap:
         )
 
     def pullback(self, curve: CurveParam) -> "GradedMap":
-        """Restrict along a parametrized rational curve; twists scale by e."""
+        """Restrict along a parametrized rational curve; twists scale by e.
+
+        Entry (i, j) of degree t_i - s_j becomes one of degree
+        e * (t_i - s_j).  The result holds only the row terms, summed
+        straight from the curve's monomial images, whose keys are the
+        t-exponents; `entries` builds the forms when read.
+        """
         if curve.ambient_vars != self.num_vars:
             raise ValueError(
                 f"curve lives in P^{curve.ambient_vars - 1}, map in P^{self.num_vars - 1}"
             )
         e = curve.degree
-        images = iter(substitute_all([f for row in self.entries for f in row], curve.forms))
-        rows = [[next(images) for _ in row] for row in self.entries]
-        # entry (i, j) of degree t_i - s_j becomes one of degree e * (t_i - s_j)
-        return GradedMap._unchecked(
-            2,
-            tuple(e * s for s in self.source_twists),
-            tuple(e * t for t in self.target_twists),
-            rows,
-        )
+        top = max(self.target_twists, default=0) - min(self.source_twists, default=0)
+        images, _ = monomial_images(curve.forms, max(top, 0))
+        row_terms = []
+        for row in self.entries:
+            terms = []
+            for j, f in enumerate(row):
+                if len(f.terms) == 1:  # the image of one term needs no summing
+                    [(g, c)] = f.terms.items()
+                    terms += [
+                        (j, b, x if type(x) is int else exact(x))
+                        for b, v in images[g].items()
+                        if (x := c * v)
+                    ]
+                elif f.terms:
+                    acc: dict[int, int | Fraction] = {}
+                    for g, c in f.terms.items():
+                        for b, v in images[g].items():
+                            acc[b] = acc.get(b, 0) + c * v
+                    terms += [
+                        (j, b, c if type(c) is int else exact(c)) for b, c in acc.items() if c
+                    ]
+            row_terms.append(terms)
+        out = object.__new__(GradedMap)
+        out.num_vars = 2
+        out.source_twists = tuple(e * s for s in self.source_twists)
+        out.target_twists = tuple(e * t for t in self.target_twists)
+        out._entries = None
+        out._row_terms = row_terms
+        out._origin = (self, e)
+        return out
 
     def stratum_rows(self, m: int) -> tuple[list[list], int]:
         """Rows and column count of the scalar matrix induced on degree-m sections.
@@ -343,6 +395,7 @@ class GradedMap:
         n_cols = sum(src_dims)
         n_rows = sum(tgt_dims)
         mat = [[0] * n_cols for _ in range(n_rows)]
+        entries = self.entries
         row_off = 0
         for i, tdim in enumerate(tgt_dims):
             if tdim == 0:
@@ -351,7 +404,7 @@ class GradedMap:
                 tgt_index = monomial_index(nv, m + self.target_twists[i])
             col_off = 0
             for j, sdim in enumerate(src_dims):
-                entry = self.entries[i][j]
+                entry = entries[i][j]
                 if sdim and not entry.is_zero():
                     if nv == 2:
                         for (_, b), c in entry.terms.items():

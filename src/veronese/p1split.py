@@ -10,6 +10,11 @@ function K(m) = sum_i max(0, m - b_i + 1), so the number of generators of
 degree m is the second difference K(m) - 2K(m-1) + K(m-2).  K(m) is the
 nullity of the dual's degree-m stratum: the scan needs exact ranks only.
 
+The scan reads the presentation as row terms (`GradedMap.row_terms`): the
+(j, b, c) of each term c s^a t^b of entry (i, j), listed by row i.  A
+pullback is built as these lists, so a restriction never forms a
+HomPoly entry; a map built from entries is flattened into them.
+
 Image recursion.  The dual stratum at twist m maps H0(F0^v(m)) to
 H0(F1^v(m)), and its image Im(m) has the rank the scan needs:
 K(m) = sum_i max(0, m - t_i + 1) - dim Im(m).  Every column at twist m+1
@@ -23,15 +28,16 @@ the stratum is much wider than tall this ranks far fewer columns.
 
 Preconditions are enforced, not assumed.  Injectivity is decided exactly
 by scalar ranks at D+1 points of the line, D a degree bound on maximal
-minors, unless the scan proves it first: once Im(m) is all of H0(F1^v(m))
-at some m >= max(s), every O(m - s_j) is globally generated, so the dual
-map is onto every fiber, and the presentation is injective on every
-fiber.  It is then injective with a locally free cokernel, the point test
-is skipped, and every later Im is everything, so K follows by formula.
-Without such a stratum the point test runs after the scan and before any
-torsion diagnosis, which keeps every outcome of the earlier order (a
-surjective stratum at m < max(s) proves nothing: O(m - s_j) may have no
-sections).  Square presentations have no scan and always run it.
+minors, evaluated from the row terms, unless the scan proves it first:
+once Im(m) is all of H0(F1^v(m)) at some m >= max(s), every O(m - s_j)
+is globally generated, so the dual map is onto every fiber, and the
+presentation is injective on every fiber.  It is then injective with a
+locally free cokernel, the point test is skipped, and every later Im is
+everything, so K follows by formula.  Without such a stratum the point
+test runs after the scan and before any torsion diagnosis, which keeps
+every outcome of the earlier order (a surjective stratum at m < max(s)
+proves nothing: O(m - s_j) may have no sections).  Square presentations
+have no scan and always run it.
 Local freeness is decided by degree conservation: the kernel
 module is free even when E has torsion, and its degrees then describe the
 torsion-free quotient of E, so any deficit against sum(t) - sum(s) is
@@ -113,7 +119,8 @@ def _assert_injective(pres: GradedMap) -> None:
 
     A nonzero maximal minor has degree at most D, so it cannot vanish at
     D+1 distinct points of the line; full column rank at any one point
-    certifies injectivity, rank defect at all of them refutes it.
+    certifies injectivity, rank defect at all of them refutes it.  At the
+    point (s, t) = (1, k) the row term (j, b, c) adds c k^b to column j.
     """
     p, q = pres.shape
     if q == 0:
@@ -122,9 +129,12 @@ def _assert_injective(pres: GradedMap) -> None:
     bound = sum(top) - sum(pres.source_twists)
     if p < q or bound < 0:
         raise NotInjectiveError("presentation not injective")
+    row_terms = pres.row_terms()
     for k in range(bound + 1):
-        point = (1, k)
-        rows = [[e.evaluate(point) for e in row] for row in pres.entries]
+        rows = [[0] * q for _ in row_terms]
+        for row, terms in zip(rows, row_terms):
+            for j, b, c in terms:
+                row[j] += c * k**b
         if linalg.rank(rows, q) == q:
             return
     raise NotInjectiveError("presentation not injective")
@@ -188,10 +198,7 @@ def splitting_type(pres: GradedMap) -> SplittingType:
         return SplittingType(())
 
     src, tgt = pres.source_twists, pres.target_twists
-    row_terms = [
-        [(j, b, c) for j, e in enumerate(row) for (_, b), c in e.terms.items()]
-        for row in pres.entries
-    ]
+    row_terms = pres.row_terms()
     lo, top = min(tgt), max(src)
     hi = want - (rank - 1) * lo
     basis: list[tuple[int, int]] = []  # columns spanning the image at m - 1

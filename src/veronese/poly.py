@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import mul
 from typing import Mapping, Sequence
 
 from .linalg import exact
@@ -231,51 +231,92 @@ class HomPoly:
         return sorted(self.terms.items(), key=lambda kv: order[kv[0]])
 
 
-def substitute_all(polys: Sequence[HomPoly], forms: Sequence[HomPoly]) -> list[HomPoly]:
-    """Substitute forms[i] for Z_i in every poly, one result per poly.
+class _ImageTable(dict):
+    """Images of monomials Z^g keyed by g; see `monomial_images`."""
 
-    The forms share one degree e and one variable count; a poly of degree k
-    maps to degree e * k.  The image of each monomial Z^g is built once per
-    call, as the image of Z^(g - e_i) times forms[i] with i the first
-    nonzero exponent of g, and kept as a plain dict shared by all polys.
-    The results are valid by construction, so they are built without the
-    checks of `HomPoly.__init__`.
+    __slots__ = ("factors",)
+
+    def __init__(self, num_forms: int, factors: list[list[tuple[int, int | Fraction]]]):
+        super().__init__({(0,) * num_forms: {0: 1}})
+        self.factors = factors  # per form, its terms as (key, coefficient)
+
+    def __missing__(self, g: Monomial) -> dict[int, int | Fraction]:
+        steps = []  # walk down to a known image, then multiply back up
+        while g not in self:
+            for i, a in enumerate(g):
+                if a:
+                    break
+            steps.append((g, i))
+            g = (*g[:i], a - 1, *g[i + 1 :])
+        img = self[g]
+        for g, i in reversed(steps):
+            prod: dict[int, int | Fraction] = {}
+            get = prod.get
+            factor = self.factors[i]
+            for k1, c1 in img.items():
+                for k2, c2 in factor:
+                    k = k1 + k2
+                    prod[k] = get(k, 0) + c1 * c2
+            self[g] = img = prod
+        return img
+
+
+def monomial_images(forms: Sequence[HomPoly], top: int) -> tuple[_ImageTable, int]:
+    """The table of monomial images under Z_i -> forms[i], filled on lookup.
+
+    The forms share one degree e and one variable count.  Returns
+    `(images, base)`: `images[g]` is the image of Z^g, for g of total
+    degree at most `top`, as a plain dict from monomial key to
+    coefficient.  The key of Z^a is sum_{i>=1} a_i * base^(i-1), with
+    base = e * top + 1 above every exponent reached, so the product of two
+    monomials has the sum of their keys; a_0 follows from the degree.  For
+    binary forms the key of s^a t^b is b.  A missing image is built, and
+    kept, as the image of Z^(g - e_i) times forms[i] with i the first
+    nonzero exponent of g, by walking down to a known image and multiplying
+    back up without recursion, so monomials of degree above the recursion
+    limit work.
     """
-    if any(len(forms) != p.num_vars for p in polys):
-        raise ValueError("need one form per variable")
     degrees = {f.degree for f in forms}
     if len(degrees) != 1:
         raise ValueError("inhomogeneous parametrization")
     nv = forms[0].num_vars
     if any(f.num_vars != nv for f in forms):
         raise ValueError("substitution forms disagree on variable count")
-    e = degrees.pop()
-    factors = [list(f.terms.items()) for f in forms]
-    table: dict[Monomial, dict] = {(0,) * len(forms): {(0,) * nv: 1}}
+    base = degrees.pop() * top + 1
+    weights = [0] + [base**i for i in range(nv - 1)]
+    factors = [[(sum(map(mul, m, weights)), c) for m, c in f.terms.items()] for f in forms]
+    return _ImageTable(len(forms), factors), base
 
-    def image(g: Monomial) -> dict[Monomial, int | Fraction]:
-        steps = []  # walk down to a known image, then multiply back up
-        while g not in table:
-            i = next(k for k, a in enumerate(g) if a)
-            steps.append((g, i))
-            g = g[:i] + (g[i] - 1,) + g[i + 1 :]
-        img = table[g]
-        for g, i in reversed(steps):
-            prod: dict[Monomial, int | Fraction] = {}
-            for m1, c1 in img.items():
-                for m2, c2 in factors[i]:
-                    m = tuple(map(add, m1, m2))
-                    prod[m] = prod.get(m, 0) + c1 * c2
-            table[g] = img = prod
-        return img
+
+def substitute_all(polys: Sequence[HomPoly], forms: Sequence[HomPoly]) -> list[HomPoly]:
+    """Substitute forms[i] for Z_i in every poly, one result per poly.
+
+    The forms share one degree e and one variable count; a poly of degree k
+    maps to degree e * k.  The monomial images come from one
+    `monomial_images` table shared by all polys; their keys are turned
+    back into exponent tuples.  The results are valid by construction, so
+    they are built without the checks of `HomPoly.__init__`.
+    """
+    if any(len(forms) != p.num_vars for p in polys):
+        raise ValueError("need one form per variable")
+    images, base = monomial_images(forms, max((p.degree for p in polys), default=0))
+    nv, e = forms[0].num_vars, forms[0].degree
+
+    def monomial(key: int, degree: int) -> Monomial:
+        exps = []
+        for _ in range(nv - 1):
+            key, a = divmod(key, base)
+            exps.append(a)
+        return (degree - sum(exps), *exps)
 
     out = []
     for p in polys:
-        terms: dict[Monomial, int | Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for g, c in p.terms.items():
-            for m, v in image(g).items():
-                terms[m] = terms.get(m, 0) + c * v
-        out.append(HomPoly._unchecked(nv, e * p.degree, terms))
+            for k, v in images[g].items():
+                acc[k] = acc.get(k, 0) + c * v
+        deg = e * p.degree
+        out.append(HomPoly._unchecked(nv, deg, {monomial(k, deg): c for k, c in acc.items() if c}))
     return out
 
 

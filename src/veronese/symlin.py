@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .linalg import QMatrix
 from .poly import HomPoly, monomial_index, monomials, substitute_all
@@ -61,6 +61,8 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
     """
     if i < 1:
         raise ValueError("symmetric power degree must be >= 1")
+    if not (f.rows and f.cols):  # Sym^i of a zero space is zero
+        return QMatrix.zero(comb(f.rows + i - 1, i), comb(f.cols + i - 1, i))
     rows_dim = f.rows
     unit = monomials(rows_dim, 1)
     col_forms = [
@@ -76,7 +78,9 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
 def _dual_weights(dim: int, i: int) -> list[int]:
     """Pairing weights i!/a! for (Sym^i W)^* vs Sym^i(W^*), one per monomial
     a of degree i: the abstract dual basis vector of x^a is i!/a! times the
-    dual-variable monomial."""
+    dual-variable monomial.  A zero space has no monomial of degree i >= 1."""
+    if not dim:
+        return []
     fi = factorial(i)
     weights = []
     for a in monomials(dim, i):
@@ -94,7 +98,7 @@ def _dualize(f: QMatrix, row_weights: list[int], col_weights: list[int]) -> QMat
     return QMatrix(
         [
             [Fraction(row_weights[r] * x, col_weights[c]) if x else 0 for c, x in enumerate(col)]
-            for r, col in enumerate(zip(*f.data))
+            for r, col in enumerate(zip(*f.data) if f.rows else [()] * f.cols)
         ],
         cols=f.rows,
     )
@@ -125,7 +129,7 @@ def _mult_injection(ses: LinearSES, i: int) -> QMatrix:
             row = rows[tgt_index[b[:j] + (b[j] + 1,) + b[j + 1 :]]]
             for k in range(m_dim):
                 row[bi * m_dim + k] += ses.phi[(j, k)]
-    return QMatrix(rows)
+    return QMatrix(rows, cols=len(src_monos) * m_dim)
 
 
 def quotient_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
@@ -155,7 +159,7 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
                 c = ses.phi[(j, k)]
                 if c:
                     rows[low + k][ai] += w * c
-    return QMatrix(rows)
+    return QMatrix(rows, cols=len(src_monos))
 
 
 def check_commute(ses: LinearSES, i: int) -> bool:

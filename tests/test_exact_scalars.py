@@ -14,7 +14,7 @@ from veronese.bundles import (
 )
 from veronese.chow import ChowClass, HilbertPoly, chern_normal, hilbert_poly, normal_stats
 from veronese.curves import random_line, rnc
-from veronese.gradedmap import GradedMap, binary_gcd
+from veronese.gradedmap import CurveParam, GradedMap, binary_gcd
 from veronese.linalg import QMatrix, exact
 from veronese.poly import HomPoly, parse_poly
 from veronese.symlin import (
@@ -97,6 +97,26 @@ def test_pullbacks_and_strata_are_exact(n, d):
             for m in range(-1, 3):
                 _assert_matrix_exact(back.dual().stratum(m))
                 _assert_matrix_exact(back.stratum(m))
+
+
+def test_pullback_row_terms_are_exact():
+    """A curve with Fraction coefficients: 2 * (t/2) is the int 1 in the
+    row terms and in the entries built from them."""
+    half = Fraction(1, 2)
+    curve = CurveParam(
+        1,
+        (
+            HomPoly(2, 1, {(1, 0): 2}),
+            HomPoly(2, 1, {(0, 1): half}),
+            HomPoly(2, 1, {(1, 0): half, (0, 1): 1}),
+        ),
+    )
+    back = normal_presentation(VeroneseContext(2, 2)).pullback(curve)
+    coeffs = [c for row in back.row_terms() for _, _, c in row]
+    assert _kinds(coeffs) == {int, Fraction} and 1 in coeffs
+    for c in coeffs:
+        _assert_exact(c)
+    _assert_map_exact(back)
 
 
 def test_compose_is_exact():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,7 +8,11 @@ from veronese.prng import SplitMix64
 from veronese.symlin import (
     LinearSES,
     check_commute,
+    injection_via_dualize_then_symmetrize,
+    injection_via_symmetrize_then_dualize,
     quotient_map,
+    quotient_via_dualize_then_symmetrize,
+    quotient_via_symmetrize_then_dualize,
     random_ses,
     sym_power,
 )
@@ -155,3 +160,26 @@ def test_check_commute_hundred_seeded():
     for k in range(100):
         ses = random_ses(rng.next_u64(), max_middle=5)
         assert check_commute(ses, 1 + k % 3)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_zero_dimensional_ends(i):
+    """dim M = 0 and dim P = 0: Sym^i of a zero space is zero, so every
+    route keeps the shape the dimensions give, and the routes agree."""
+    zero_m = LinearSES(QMatrix([[], []], cols=0), QMatrix([[2, 1], [1, 1]]))
+    zero_p = LinearSES(QMatrix([[1, 2], [3, 4]]), QMatrix([], cols=2))
+    for ses in (zero_m, zero_p):
+        m, n, p = ses.dims
+        sym_n, sym_p = comb(n + i - 1, i), comb(p + i - 1, i)
+        low = comb(n + i - 2, i - 1) * m
+        for route, shape in (
+            (injection_via_symmetrize_then_dualize, (sym_n, sym_p)),
+            (injection_via_dualize_then_symmetrize, (sym_n, sym_p)),
+            (quotient_via_symmetrize_then_dualize, (low, sym_n)),
+            (quotient_via_dualize_then_symmetrize, (low, sym_n)),
+            (quotient_map, (low, sym_n)),
+        ):
+            f = route(ses, i)
+            assert (f.rows, f.cols) == shape, route.__name__
+        assert check_commute(ses, i)
+    assert sym_power(zero_p.psi, i) == QMatrix.zero(0, comb(i + 1, i))
