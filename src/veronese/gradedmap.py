@@ -345,7 +345,7 @@ class GradedMap:
             )
         e = curve.degree
         top = max(self.target_twists, default=0) - min(self.source_twists, default=0)
-        images, _ = monomial_images(curve.forms, max(top, 0))
+        images = monomial_images(curve.forms, max(top, 0))
         row_terms = []
         for row in self.entries:
             terms = []

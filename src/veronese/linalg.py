@@ -17,9 +17,9 @@ elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed
 into one int of fixed-width fields, one per column.  A step adds a
 multiple of the pivot row to each row below it, without reducing the
 sum: the width is chosen so that no field can carry into the next within
-min(rows, cols) updates, and only a pivot row that was updated is
-reduced, field-wise, before it is used (2^45 = 55 mod p, so a reduction
-is shifts, masks and a multiplication by 55).
+min(rows, cols) updates, and a pivot row is reduced, field-wise, before
+it updates the rows below it (2^45 = 55 mod p, so a reduction is shifts,
+masks and a multiplication by 55, and leaves a row of residues as it is).
 
 Reduction mod p can only lose rank, rank_p <= rank_Q, and the modular
 pivot columns have a nonzero minor mod p, so they are independent over
@@ -123,11 +123,12 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
     Each row is one int of w-bit fields, column 0 in the top one.  A step
     adds (p - f) times the pivot row to each row below it whose pivot
     field is nonzero mod p, so fields grow lazily within the bound of
-    `_layout`; a pivot row that was updated is reduced first.  The steps
-    are recorded, and only a deficient rank replays them on the row
-    transforms, packed rows that start as the unit vectors.  A vanished
-    row's transform has 1 in its own field, where no pivot row and no other
-    vanished row is nonzero, so these vectors are independent.
+    `_layout`; a pivot row that updates any row is reduced first, which
+    leaves a row of residues as it is.  The steps are recorded, and only a
+    deficient rank replays them on the row transforms, packed rows that
+    start as the unit vectors.  A vanished row's transform has 1 in its own
+    field, where no pivot row and no other vanished row is nonzero, so these
+    vectors are independent.
     """
     p = PRIME
     rows = len(m)
@@ -144,7 +145,6 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
             for v in row:
                 x = (x << w) | (v % p)
             work.append(x)
-    dirty = [False] * rows
     steps = []
     pivots = []
     r = 0
@@ -157,12 +157,10 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
         else:
             continue
         work[r], work[i] = work[i], work[r]
-        dirty[r], dirty[i] = dirty[i], dirty[r]
         pivots.append(c)
         r += 1
         if r == k:
             return pivots, []
-        prow = work[r - 1]
         inv = 0
         ups = []
         for j in range(i + 1, rows):
@@ -170,27 +168,21 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
             if x:
                 if not inv:
                     inv = pow(v, -1, p)
-                    if dirty[r - 1]:
-                        prow = _reduce(prow, low, high)
+                    prow = _reduce(work[r - 1], low, high)
                 g = p - x * inv % p
                 if g != p:
                     work[j] += g * prow
-                    dirty[j] = True
                     ups.append((j, g))
         steps.append((i, ups))
     w, low, high = _layout(k, rows)
     fmask = (1 << w) - 1
     trans = [1 << (j * w) for j in range(rows)]
-    dirty = [False] * rows
     for s, (i, ups) in enumerate(steps):
         trans[s], trans[i] = trans[i], trans[s]
-        dirty[s], dirty[i] = dirty[i], dirty[s]
-        prow = trans[s]
-        if ups and dirty[s]:
-            prow = _reduce(prow, low, high)
+        if ups:
+            prow = _reduce(trans[s], low, high)
         for j, g in ups:
             trans[j] += g * prow
-            dirty[j] = True
     return pivots, [[(t >> (j * w) & fmask) % p for j in range(rows)] for t in trans[r:]]
 
 

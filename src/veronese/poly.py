@@ -210,9 +210,30 @@ class HomPoly:
 
     def substitute(self, forms: Sequence["HomPoly"]) -> "HomPoly":
         """Substitute forms[i] for Z_i: forms of one common degree e in any
-        number of variables; the result has degree e * deg(self).  See
-        `substitute_all`."""
-        return substitute_all([self], forms)[0]
+        number of variables; the result has degree e * deg(self).
+
+        The terms are summed from one `monomial_images` table and their keys
+        turned back into exponent tuples, heaviest variable first.  The
+        result is valid by construction, so it is built without the checks
+        of `__init__`.
+        """
+        if len(forms) != self.num_vars:
+            raise ValueError("need one form per variable")
+        images = monomial_images(forms, self.degree)
+        acc: dict[int, int | Fraction] = {}
+        for g, c in self.terms.items():
+            for k, v in images[g].items():
+                acc[k] = acc.get(k, 0) + c * v
+        nv, deg = forms[0].num_vars, forms[0].degree * self.degree
+        heavy = images.weights[:0:-1]  # base^(nv-2), ..., base, 1
+        terms = {}
+        for k, c in acc.items():
+            exps = []
+            for w in heavy:
+                a, k = divmod(k, w)
+                exps.append(a)
+            terms[(deg - sum(exps), *reversed(exps))] = c
+        return HomPoly._unchecked(nv, deg, terms)
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         vals = [exact(x) for x in point]
@@ -234,11 +255,16 @@ class HomPoly:
 class _ImageTable(dict):
     """Images of monomials Z^g keyed by g; see `monomial_images`."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "weights")
 
-    def __init__(self, num_forms: int, factors: list[list[tuple[int, int | Fraction]]]):
-        super().__init__({(0,) * num_forms: {0: 1}})
+    def __init__(self, factors: list[list[tuple[int, int | Fraction]]], weights: list[int]):
+        super().__init__({(0,) * len(factors): {0: 1}})
         self.factors = factors  # per form, its terms as (key, coefficient)
+        self.weights = weights  # per variable of the forms, its key weight
+
+    def key(self, mono: Monomial) -> int:
+        """The int key of a monomial in the forms' variables."""
+        return sum(map(mul, mono, self.weights))
 
     def __missing__(self, g: Monomial) -> dict[int, int | Fraction]:
         steps = []  # walk down to a known image, then multiply back up
@@ -261,20 +287,19 @@ class _ImageTable(dict):
         return img
 
 
-def monomial_images(forms: Sequence[HomPoly], top: int) -> tuple[_ImageTable, int]:
+def monomial_images(forms: Sequence[HomPoly], top: int) -> _ImageTable:
     """The table of monomial images under Z_i -> forms[i], filled on lookup.
 
-    The forms share one degree e and one variable count.  Returns
-    `(images, base)`: `images[g]` is the image of Z^g, for g of total
-    degree at most `top`, as a plain dict from monomial key to
-    coefficient.  The key of Z^a is sum_{i>=1} a_i * base^(i-1), with
-    base = e * top + 1 above every exponent reached, so the product of two
-    monomials has the sum of their keys; a_0 follows from the degree.  For
-    binary forms the key of s^a t^b is b.  A missing image is built, and
-    kept, as the image of Z^(g - e_i) times forms[i] with i the first
-    nonzero exponent of g, by walking down to a known image and multiplying
-    back up without recursion, so monomials of degree above the recursion
-    limit work.
+    The forms share one degree e and one variable count.  `images[g]` is
+    the image of Z^g, for g of total degree at most `top`, as a plain dict
+    from monomial key to coefficient.  The key of Z^a, `images.key(a)`, is
+    sum_{i>=1} a_i * base^(i-1), with base = e * top + 1 above every
+    exponent reached, so the product of two monomials has the sum of their
+    keys; a_0 follows from the degree.  For binary forms the key of s^a t^b
+    is b.  A missing image is built, and kept, as the image of Z^(g - e_i)
+    times forms[i] with i the first nonzero exponent of g, by walking down
+    to a known image and multiplying back up without recursion, so
+    monomials of degree above the recursion limit work.
     """
     degrees = {f.degree for f in forms}
     if len(degrees) != 1:
@@ -285,39 +310,7 @@ def monomial_images(forms: Sequence[HomPoly], top: int) -> tuple[_ImageTable, in
     base = degrees.pop() * top + 1
     weights = [0] + [base**i for i in range(nv - 1)]
     factors = [[(sum(map(mul, m, weights)), c) for m, c in f.terms.items()] for f in forms]
-    return _ImageTable(len(forms), factors), base
-
-
-def substitute_all(polys: Sequence[HomPoly], forms: Sequence[HomPoly]) -> list[HomPoly]:
-    """Substitute forms[i] for Z_i in every poly, one result per poly.
-
-    The forms share one degree e and one variable count; a poly of degree k
-    maps to degree e * k.  The monomial images come from one
-    `monomial_images` table shared by all polys; their keys are turned
-    back into exponent tuples.  The results are valid by construction, so
-    they are built without the checks of `HomPoly.__init__`.
-    """
-    if any(len(forms) != p.num_vars for p in polys):
-        raise ValueError("need one form per variable")
-    images, base = monomial_images(forms, max((p.degree for p in polys), default=0))
-    nv, e = forms[0].num_vars, forms[0].degree
-
-    def monomial(key: int, degree: int) -> Monomial:
-        exps = []
-        for _ in range(nv - 1):
-            key, a = divmod(key, base)
-            exps.append(a)
-        return (degree - sum(exps), *exps)
-
-    out = []
-    for p in polys:
-        acc: dict[int, int | Fraction] = {}
-        for g, c in p.terms.items():
-            for k, v in images[g].items():
-                acc[k] = acc.get(k, 0) + c * v
-        deg = e * p.degree
-        out.append(HomPoly._unchecked(nv, deg, {monomial(k, deg): c for k, c in acc.items() if c}))
-    return out
+    return _ImageTable(factors, weights)
 
 
 # -- text format --------------------------------------------------------------

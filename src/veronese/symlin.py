@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .linalg import QMatrix
-from .poly import HomPoly, monomial_index, monomials, substitute_all
+from .poly import HomPoly, monomial_images, monomial_index, monomials
 from .prng import SplitMix64
 
 
@@ -56,23 +56,22 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
 
     A monomial x^a of the source maps to the product of the i-th powers of
     the columns of f, expanded on the degree-i monomials of the target:
-    column a is x^a with column j of f, as a linear form, substituted for
-    x_j.
+    column a is the image of x^a in the `monomial_images` table of the
+    columns of f, as linear forms, and the row of a target monomial is its
+    key there.
     """
     if i < 1:
         raise ValueError("symmetric power degree must be >= 1")
     if not (f.rows and f.cols):  # Sym^i of a zero space is zero
         return QMatrix.zero(comb(f.rows + i - 1, i), comb(f.cols + i - 1, i))
-    rows_dim = f.rows
-    unit = monomials(rows_dim, 1)
-    col_forms = [
-        HomPoly(rows_dim, 1, {unit[k]: f[(k, j)] for k in range(rows_dim)})
-        for j in range(f.cols)
-    ]
-    images = substitute_all(
-        [HomPoly.monomial(f.cols, a) for a in monomials(f.cols, i)], col_forms
+    unit = monomials(f.rows, 1)
+    images = monomial_images(
+        [HomPoly(f.rows, 1, {unit[k]: f[(k, j)] for k in range(f.rows)}) for j in range(f.cols)],
+        i,
     )
-    return QMatrix([[image.coeff(mono) for image in images] for mono in monomials(rows_dim, i)])
+    cols = [images[a] for a in monomials(f.cols, i)]
+    keys = map(images.key, monomials(f.rows, i))
+    return QMatrix([[col.get(k, 0) for col in cols] for k in keys])
 
 
 def _dual_weights(dim: int, i: int) -> list[int]:
@@ -121,6 +120,8 @@ def _mult_injection(ses: LinearSES, i: int) -> QMatrix:
     of M under phi.  Columns indexed by (monomial b of degree i-1, k)."""
     n_dim = ses.phi.rows
     m_dim = ses.phi.cols
+    if not n_dim:  # the zero sequence: Sym^i 0 = 0 and M = 0
+        return QMatrix.zero(0, 0)
     src_monos = monomials(n_dim, i - 1)
     tgt_index = monomial_index(n_dim, i)
     rows = [[0] * (len(src_monos) * m_dim) for _ in range(len(tgt_index))]
@@ -146,6 +147,8 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
     to (1/i) sum_j a_j [l^(a - e_j)] (x) phi^T(l_j)."""
     n_dim = ses.phi.rows
     m_dim = ses.phi.cols
+    if not n_dim:  # the zero sequence: Sym^i 0 = 0 and M = 0
+        return QMatrix.zero(0, 0)
     src_monos = monomials(n_dim, i)
     low_index = monomial_index(n_dim, i - 1)
     rows = [[0] * len(src_monos) for _ in range(len(low_index) * m_dim)]

@@ -154,6 +154,39 @@ def test_matmul_exact_fractions():
     assert (a * b)[(0, 0)] == 2
 
 
+def _cell_types(m):
+    return [[type(x) for x in row] for row in m.data]
+
+
+def test_scale_add_sub_keep_exact_cells():
+    a = QMatrix([[2, -4], [6, 0]])
+    b = QMatrix([[1, Fraction(1, 3)], [0, 5]])
+    half = a.scale(Fraction(1, 2))
+    assert half == QMatrix([[1, -2], [3, 0]])
+    assert _cell_types(half) == [[int, int], [int, int]]
+    assert _cell_types(a.scale(3)) == [[int, int], [int, int]]
+    assert a.scale(Fraction(1, 4)).data == ((Fraction(1, 2), -1), (Fraction(3, 2), 0))
+    total = a + b
+    assert total.data == ((3, Fraction(-11, 3)), (6, 5))
+    assert _cell_types(total) == [[int, Fraction], [int, int]]
+    diff = b - b.scale(Fraction(2, 3))
+    assert diff.data == ((Fraction(1, 3), Fraction(1, 9)), (0, Fraction(5, 3)))
+    # a Fraction cell that cancels to an integer comes back an int
+    assert _cell_types(b + QMatrix([[0, Fraction(2, 3)], [0, 0]])) == [[int, int], [int, int]]
+    for m in (a, b, QMatrix([], cols=2), QMatrix.zero(2, 0)):
+        assert (m - m).is_zero()
+        assert ((m - m).rows, (m - m).cols) == (m.rows, m.cols)
+
+
+def test_scale_refuses_floats_and_add_checks_shapes():
+    with pytest.raises(TypeError):
+        QMatrix([[2]]).scale(0.5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        QMatrix([[1, 2]]) + QMatrix([[1], [2]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        QMatrix([], cols=2) - QMatrix([], cols=3)
+
+
 def test_rowspan_membership():
     span = RowSpan(3)
     assert span.add([1, 0, 1])

@@ -29,6 +29,18 @@ def test_multiply_by_zero():
     assert (z * p).is_zero()
 
 
+def test_power():
+    p = HomPoly(3, 2, {(2, 0, 0): 1, (0, 1, 1): Fraction(-1, 2)})
+    one = p.power(0)
+    assert (one.num_vars, one.degree, one.terms) == (3, 0, {(0, 0, 0): 1})
+    assert p.power(1) == p
+    cube = p.power(3)
+    assert cube == p * p * p and cube.degree == 6
+    assert HomPoly.zero(2, 2).power(2) == HomPoly.zero(2, 4)
+    with pytest.raises(ValueError, match="negative power"):
+        p.power(-1)
+
+
 def test_differentiate_square():
     assert HomPoly.monomial(2, (2, 0)).differentiate(0) == HomPoly.variable(2, 0, 2)
 
@@ -124,7 +136,7 @@ def test_substitute_is_ring_homomorphism():
 def _reference_substitute(p, forms):
     """Substitution by a per-call power cache: the powers of each form up to
     its largest exponent in p, then one HomPoly product per term.  An
-    oracle for the shared product table of `substitute_all`."""
+    oracle for the shared product table of `monomial_images`."""
     nv = forms[0].num_vars
     max_exp = [0] * p.num_vars
     for mono in p.terms:

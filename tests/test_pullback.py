@@ -13,16 +13,15 @@ from veronese.bundles import (
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import BasePointError, CurveParam, GradedMap
 from veronese.p1split import NotInjectiveError, NotLocallyFreeError, splitting_type
-from veronese.poly import HomPoly, monomials, substitute_all
+from veronese.poly import HomPoly, monomials
 from veronese.prng import SplitMix64
 
 
 def _reference_pullback(pres: GradedMap, curve: CurveParam) -> GradedMap:
-    """The pullback as one `substitute_all` over the entries, built through
+    """The pullback as `HomPoly.substitute` of each entry, built through
     the checked constructor: the oracle for the row-term pullback."""
     e = curve.degree
-    images = iter(substitute_all([f for row in pres.entries for f in row], curve.forms))
-    rows = [[next(images) for _ in row] for row in pres.entries]
+    rows = [[f.substitute(curve.forms) for f in row] for row in pres.entries]
     return GradedMap(
         2,
         [e * s for s in pres.source_twists],

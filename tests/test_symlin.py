@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from veronese.linalg import QMatrix
+from veronese.poly import HomPoly, monomials
 from veronese.prng import SplitMix64
 from veronese.symlin import (
     LinearSES,
@@ -81,6 +82,51 @@ def test_sym_power_functorial():
         assert sym_power(f, 1) == f
         for i in range(1, 5):
             assert sym_power(g * f, i) == sym_power(g, i) * sym_power(f, i)
+
+
+def _reference_sym_power(f, i):
+    """Sym^i f as `HomPoly.substitute` of each degree-i source monomial,
+    with the columns of f as linear forms, read cell by cell with `coeff`:
+    the oracle for the table-reading `sym_power`."""
+    unit = monomials(f.rows, 1)
+    col_forms = [
+        HomPoly(f.rows, 1, {unit[k]: f[(k, j)] for k in range(f.rows)}) for j in range(f.cols)
+    ]
+    images = [HomPoly.monomial(f.cols, a).substitute(col_forms) for a in monomials(f.cols, i)]
+    return QMatrix([[image.coeff(mono) for image in images] for mono in monomials(f.rows, i)])
+
+
+def _oracle_matrices(rng, rows, cols):
+    """Seeded int, Fraction, rank-one and zero-column matrices of one shape."""
+    def draw():
+        return rng.next_int(-3, 3)
+
+    def frac():
+        return Fraction(draw(), rng.next_int(1, 4))
+
+    u = [frac() for _ in range(rows)]
+    v = [draw() for _ in range(cols)]
+    zero_col = rng.next_below(cols)
+    return [
+        QMatrix([[draw() for _ in range(cols)] for _ in range(rows)]),
+        QMatrix([[frac() for _ in range(cols)] for _ in range(rows)]),
+        QMatrix([[a * b for b in v] for a in u]),
+        QMatrix([[0 if j == zero_col else draw() for j in range(cols)] for _ in range(rows)]),
+    ]
+
+
+def test_sym_power_matches_substitute_reference():
+    rng = SplitMix64(36)
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            for f in _oracle_matrices(rng, rows, cols):
+                for i in range(1, 5):
+                    got, want = sym_power(f, i), _reference_sym_power(f, i)
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got.data == want.data
+                    assert [list(map(type, r)) for r in got.data] == [
+                        list(map(type, r)) for r in want.data
+                    ]
 
 
 def test_quotient_map_degree_one_is_phi_transpose():
@@ -164,14 +210,16 @@ def test_check_commute_hundred_seeded():
 
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_zero_dimensional_ends(i):
-    """dim M = 0 and dim P = 0: Sym^i of a zero space is zero, so every
-    route keeps the shape the dimensions give, and the routes agree."""
+    """dim M = 0, dim P = 0 and the zero sequence: Sym^i of a zero space is
+    zero, so every route keeps the shape the dimensions give, and the
+    routes agree."""
     zero_m = LinearSES(QMatrix([[], []], cols=0), QMatrix([[2, 1], [1, 1]]))
     zero_p = LinearSES(QMatrix([[1, 2], [3, 4]]), QMatrix([], cols=2))
-    for ses in (zero_m, zero_p):
+    zero = LinearSES(QMatrix([], cols=0), QMatrix([], cols=0))
+    for ses in (zero_m, zero_p, zero):
         m, n, p = ses.dims
         sym_n, sym_p = comb(n + i - 1, i), comb(p + i - 1, i)
-        low = comb(n + i - 2, i - 1) * m
+        low = comb(n + i - 2, i - 1) * m if m else 0
         for route, shape in (
             (injection_via_symmetrize_then_dualize, (sym_n, sym_p)),
             (injection_via_dualize_then_symmetrize, (sym_n, sym_p)),
