@@ -34,7 +34,7 @@ from .poly import (
     render_poly,
     section_dim,
 )
-from .linalg import QMatrix, exact
+from .linalg import QMatrix, _echelon, _integer_rows, exact
 
 
 class TwistMismatchError(ValueError):
@@ -48,48 +48,19 @@ class BasePointError(ValueError):
 # -- binary form gcd ----------------------------------------------------------
 
 
-def _univ_gcd(a: list, b: list) -> list:
-    """Monic gcd of univariate polynomials given as coefficient lists."""
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        # remainder of a modulo b
-        while len(a) >= len(b) and a:
-            f = Fraction(a[-1], b[-1])
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] -= f * c
-            trim(a)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [Fraction(c, lead) for c in a]
-    return a
-
-
-def _split_st_powers(f: HomPoly) -> tuple[int, int, list]:
-    """Write a nonzero binary form as s^vs * t^vt * u(s) with u dehomogenized.
-
-    Returns (vs, vt, coeffs of u by ascending s-power); u has nonzero
-    constant and leading coefficients, so no factor is lost by passing to
-    the affine chart t = 1.
-    """
-    vs = min(m[0] for m in f.terms)
-    vt = min(m[1] for m in f.terms)
-    deg = f.degree - vs - vt
-    coeffs = [0] * (deg + 1)
-    for (a, _b), c in f.terms.items():
-        coeffs[a - vs] = c
-    return vs, vt, coeffs
-
-
 def binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
-    """Monic gcd of two binary forms (zero if both are zero)."""
+    """Monic gcd of two binary forms, its coefficient of the highest power
+    of s being 1 (the zero form if both are zero).
+
+    For nonzero f, g of degrees a, b and top = a + b - 1 >= 0, the rows of
+    the transposed Sylvester matrix, the stratum at top of [f g] : O(-a) +
+    O(-b) -> O(0), are the multiples f s^(b-1-j) t^j and g s^(a-1-j) t^j,
+    indexed by t-exponent.  The cofactors of the gcd h, of degree k, are
+    coprime, so they generate every form of degree top - k: the rows span
+    h S_(top-k), their rank is top + 1 - k, and the last pivot row of
+    `_echelon` is a multiple of h t^(top-k).  The cost is one dense
+    (a+b) x (a+b) fraction-free elimination.
+    """
     if f.num_vars != 2 or g.num_vars != 2:
         raise ValueError("binary_gcd needs forms in two variables")
     if f.is_zero() and g.is_zero():
@@ -98,16 +69,18 @@ def binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
         h = g if f.is_zero() else f
         lead = h.sorted_terms()[0][1]
         return h * Fraction(1, lead)
-    vs1, vt1, u1 = _split_st_powers(f)
-    vs2, vt2, u2 = _split_st_powers(g)
-    u = _univ_gcd(u1, u2)
-    k = len(u) - 1
-    vs, vt = min(vs1, vs2), min(vt1, vt2)
-    terms = {}
-    for a, c in enumerate(u):
-        if c:
-            terms[(a + vs, k - a + vt)] = c
-    return HomPoly(2, k + vs + vt, terms)
+    a, b = f.degree, g.degree
+    top = a + b - 1
+    if top < 0:
+        return HomPoly.constant(2, 1)
+    mat, _ = GradedMap(2, (-a, -b), (0,), [[f, g]]).stratum_rows(top)
+    pivots, work = _echelon(_integer_rows(zip(*mat)), top + 1)
+    k = top + 1 - len(pivots)
+    row = work[len(pivots) - 1]  # trimmed from the left: it ends at column top
+    first = top + 1 - len(row)
+    lead = row[pivots[-1] - first]
+    terms = {(top - c, c - top + k): Fraction(x, lead) for c, x in enumerate(row, first)}
+    return HomPoly._unchecked(2, k, terms)
 
 
 def binary_gcd_many(forms: Sequence[HomPoly]) -> HomPoly:

@@ -10,7 +10,8 @@ by exact ranks and kernels, so no floating point ever enters.
 
 The one exact elimination, ``_echelon``, is a forward fraction-free
 (Bareiss) pass over the rows with their denominators cleared; ``rref``,
-and ``kernel_basis`` through it, finish it by back-substitution in integers.
+and ``kernel_basis`` through it, finish it by back-substitution in integers,
+and ``gradedmap.binary_gcd`` reads a gcd off its last pivot row.
 
 ``pivot_columns``, and ``rank`` as its length, rest on one forward
 elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed
@@ -43,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import index, mul
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -320,17 +321,17 @@ class QMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
-        """Rows of rationals; `cols` is required to disambiguate a matrix
-        with zero rows but a positive number of columns, and must match the
-        row width when given.  A row whose cells are all ints is kept as it
-        is; `exact` normalizes the others."""
+        """Rows of rationals; `cols`, an integer, is required to disambiguate
+        a matrix with zero rows but a positive number of columns, and must
+        match the row width when given.  A row whose cells are all ints is
+        kept as it is; `exact` normalizes the others."""
         data = tuple(
             row if {int}.issuperset(map(type, row)) else tuple(map(exact, row))
             for row in map(tuple, entries)
         )
         if cols is None:
             cols = len(data[0]) if data else 0
-        elif cols < 0:
+        elif (cols := index(cols)) < 0:
             raise ValueError(f"negative column count {cols}")
         self.data = data
         self.rows = len(data)

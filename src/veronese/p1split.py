@@ -123,8 +123,6 @@ def _assert_injective(pres: GradedMap) -> None:
     point (s, t) = (1, k) the row term (j, b, c) adds c k^b to column j.
     """
     p, q = pres.shape
-    if q == 0:
-        return
     top = sorted(pres.target_twists, reverse=True)[:q]
     bound = sum(top) - sum(pres.source_twists)
     if p < q or bound < 0:

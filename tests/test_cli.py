@@ -284,6 +284,58 @@ def test_verify_corrupted_golden_exit_1(capsys, monkeypatch):
     assert "golden_files" in captured.err
 
 
+def _verify_fails_on(capsys, check: str) -> str:
+    """Runs `veronese verify`, asserts exit 1 with `check` failing and named
+    on stderr, and returns the check's detail."""
+    code = main(["verify", "--scope", "fast"])
+    captured = capsys.readouterr()
+    assert code == 1
+    failing = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert failing[check]["status"] == "fail"
+    assert f"verification failed: {check}" in captured.err
+    return failing[check]["detail"]
+
+
+def _corrupt_order(blob):
+    return {**blob, "2,1": [[0, 1], [1, 0]]}
+
+
+def _corrupt_splitting(blob):
+    return {**blob, "standard_line_degrees": [5, 5, 4, 4, 3, 3, 4]}
+
+
+def _unreadable(blob):
+    return json.loads("{")
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, detail",
+    [
+        ("monomial_order_v1.json", _corrupt_order, "monomial_order_v1.json: order mismatch at (2,1)"),
+        ("splitting_n2_d3_line_v1.json", _corrupt_splitting, "splitting_n2_d3_line_v1.json: standard line gives"),
+        ("monomial_order_v1.json", _unreadable, "monomial_order_v1.json: Expecting property name"),
+        ("curves_v1.json", _unreadable, "curves_v1.json: Expecting property name"),
+        ("splitting_n2_d3_line_v1.json", _unreadable, "splitting_n2_d3_line_v1.json: Expecting property name"),
+    ],
+)
+def test_verify_names_the_failing_golden_file(capsys, monkeypatch, name, corrupt, detail):
+    real_loader = verify_mod._load_golden
+    monkeypatch.setattr(
+        verify_mod, "_load_golden", lambda n: corrupt(real_loader(n)) if n == name else real_loader(n)
+    )
+    monkeypatch.setattr(verify_mod, "_CHECKS", [r for r in verify_mod._CHECKS if r[0] == "golden_files"])
+    assert _verify_fails_on(capsys, "golden_files").startswith(detail)
+
+
+def test_verify_reports_a_raising_check_as_failing(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("boom")
+
+    checks = [r for r in verify_mod._CHECKS if r[0] == "dual_identity"]
+    monkeypatch.setattr(verify_mod, "_CHECKS", checks + [("broken", broken, (), ())])
+    assert _verify_fails_on(capsys, "broken") == "exception: RuntimeError('boom')"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "veronese.cli", "slopes", "--n", "2", "--d", "3",

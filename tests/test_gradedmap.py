@@ -53,6 +53,35 @@ def test_twists_must_be_integers():
             GradedMap(2, [0], [twist], [[_zero()]])
 
 
+@pytest.mark.parametrize(
+    "source, target, entries, message",
+    [
+        ([0], [1, 1], [[_var(0)]], "row count != number of target twists"),
+        ([0, 0], [1], [[_var(0)]], "column count != number of source twists"),
+        ([0], [1], [[HomPoly.variable(3, 0)]], "entry variable count mismatch"),
+        ([2], [1], [[_var(0)]], r"entry \(0,0\) must vanish: twist gap -1 < 0"),
+        ([0, 0], [2], [[_zero(), _var(1)]], r"entry \(0,1\) has degree 1, expected 2"),
+    ],
+)
+def test_graded_map_refuses_bad_entries(source, target, entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GradedMap(2, source, target, entries)
+
+
+@pytest.mark.parametrize(
+    "degree, forms, message",
+    [
+        (0, (HomPoly.constant(2, 1), HomPoly.constant(2, 2)), "parametrization degree must be >= 1"),
+        (1, (_var(0),), "need at least two forms"),
+        (1, (HomPoly.variable(3, 0), HomPoly.variable(3, 1)), "parametrization forms must be binary"),
+    ],
+)
+def test_curve_param_refusals(degree, forms, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as info:
+        CurveParam(degree, forms)
+    assert not isinstance(info.value, BasePointError)
+
+
 # -- compose ---------------------------------------------------------------
 
 
@@ -350,6 +379,17 @@ def test_curve_param_json_round_trip():
 # -- binary gcd ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("nv_f, nv_g", [(3, 2), (2, 3), (1, 1)])
+def test_binary_gcd_refuses_non_binary_forms(nv_f, nv_g):
+    with pytest.raises(ValueError, match="^binary_gcd needs forms in two variables$"):
+        binary_gcd(HomPoly.variable(nv_f, 0), HomPoly.variable(nv_g, 0))
+
+
+def test_binary_gcd_of_two_zero_forms_is_zero():
+    g = binary_gcd(_zero(deg=3), _zero(deg=1))
+    assert g.is_zero() and (g.num_vars, g.degree) == (2, 0)
+
+
 def test_binary_gcd_shared_factor():
     s2 = HomPoly.monomial(2, (2, 0))
     st = HomPoly.monomial(2, (1, 1))
@@ -369,3 +409,80 @@ def test_binary_gcd_nontrivial():
     f = (s + t) * (s - t) * s
     g = (s + t) * t
     assert binary_gcd(f, g) == s + t
+
+
+def _reference_binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
+    """The gcd by Euclid's algorithm: split off the powers of s and t, take
+    the monic gcd of the dehomogenized parts over Fractions, homogenize.
+    Kept as the oracle for the Sylvester route of `binary_gcd`."""
+    if f.is_zero() and g.is_zero():
+        return HomPoly.zero(2, 0)
+    if f.is_zero() or g.is_zero():
+        h = g if f.is_zero() else f
+        return h * Fraction(1, h.sorted_terms()[0][1])
+
+    def split(h):  # h = s^vs t^vt u(s, 1), u by ascending s-power
+        vs = min(a for a, _ in h.terms)
+        vt = min(b for _, b in h.terms)
+        u = [0] * (h.degree - vs - vt + 1)
+        for (a, _), c in h.terms.items():
+            u[a - vs] = Fraction(c)
+        return vs, vt, u
+
+    def trim(u):
+        while u and not u[-1]:
+            u.pop()
+        return u
+
+    vs1, vt1, u = split(f)
+    vs2, vt2, v = split(g)
+    while v:
+        while len(u) >= len(v):
+            q, shift = u[-1] / v[-1], len(u) - len(v)
+            for i, c in enumerate(v):
+                u[i + shift] -= q * c
+            trim(u)
+        u, v = v, u
+    k, vs, vt = len(u) - 1, min(vs1, vs2), min(vt1, vt2)
+    return HomPoly(2, k + vs + vt, {(a + vs, k - a + vt): c / u[-1] for a, c in enumerate(u)})
+
+
+def _random_binary_form(rng, degree, size):
+    """A binary form with some coefficients zero, some Fractions, and the
+    others up to `size` in absolute value."""
+    terms = {}
+    for b in range(degree + 1):
+        kind = rng.next_below(4)
+        c = 0 if kind == 0 else rng.next_int(-size, size)
+        terms[degree - b, b] = Fraction(c, rng.next_int(1, 9)) if kind == 1 else c
+    return HomPoly(2, degree, terms)
+
+
+def test_binary_gcd_matches_euclid_reference():
+    """600 seeded pairs, degrees 0-9: a planted common factor of degree 0-3
+    (a power of s or of t, or a random form) times random cofactors, with
+    small or 6-digit coefficients, Fractions, and zero and constant forms."""
+    rng = SplitMix64(1517)
+    s, t = _var(0), _var(1)
+    for case in range(600):
+        k = rng.next_int(0, 3)
+        planted = rng.next_below(4)
+        if planted == 0:
+            h = s.power(k)
+        elif planted == 1:
+            h = t.power(k)
+        else:
+            h = _random_binary_form(rng, k, 3)
+            if h.is_zero():
+                h = (s + t).power(k)
+        size = 10**6 if case % 5 == 0 else 5
+        f, g = (h * _random_binary_form(rng, rng.next_int(0, 9 - k), size) for _ in range(2))
+        if case % 50 == 0:
+            f = _zero(deg=f.degree)
+        if case % 75 == 1:
+            g = HomPoly.constant(2, rng.next_int(1, 5))
+        want, got = _reference_binary_gcd(f, g), binary_gcd(f, g)
+        assert (got.degree, got) == (want.degree, want), (f, g)
+        assert {m: type(c) for m, c in got.terms.items()} == {
+            m: type(c) for m, c in want.terms.items()
+        }, (f, g)

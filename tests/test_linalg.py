@@ -138,6 +138,11 @@ def test_zero_row_matrix_keeps_columns():
         QMatrix([[1, 2]], cols=3)
     with pytest.raises(ValueError):
         QMatrix([], cols=-2)
+    for cols in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            QMatrix([], cols=cols)
+    with pytest.raises(TypeError):
+        QMatrix([[1, 2]], cols=2.0)
 
 
 def test_zero_dimension_products():

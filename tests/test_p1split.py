@@ -41,6 +41,7 @@ def test_veronese_surface_on_line():
 def test_free_sheaf_no_relations():
     pres = GradedMap(2, [], [1, 1], [[], []])
     assert splitting_type(pres).degrees == (1, 1)
+    _assert_injective(pres)  # no columns: rank 0 is full column rank
 
 
 def test_line_bundle_from_koszul():

@@ -14,6 +14,21 @@ def Z(i, nv=3):
     return HomPoly.variable(nv, i)
 
 
+@pytest.mark.parametrize(
+    "num_vars, degree, terms, message",
+    [
+        (0, 0, {}, "need at least one variable"),
+        (2, -1, {}, "negative degree"),
+        (2, 1, {(1,): 1}, r"bad monomial \(1,\) for 2 variables"),
+        (2, 1, {(2, -1): 1}, r"bad monomial \(2, -1\) for 2 variables"),
+        (2, 2, {(1, 0): 3}, r"monomial \(1, 0\) not of degree 2"),
+    ],
+)
+def test_hompoly_refusals(num_vars, degree, terms, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HomPoly(num_vars, degree, terms)
+
+
 def test_multiply_basic():
     assert Z(0) * Z(1) == HomPoly.monomial(3, (1, 1, 0))
 
