@@ -17,7 +17,7 @@ import sys
 
 from . import bundles, chow, curves, p1split, verify
 from .bundles import VeroneseContext, VeroneseDegreeError
-from .gradedmap import BasePointError, CurveParam
+from .gradedmap import CurveParam
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -119,7 +119,7 @@ def cmd_restrict(args) -> int:
         samples, curve_info = _curve_samples(args, seed)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         return _fail(EXIT_IO, f"cannot load curve: {exc}")
-    except (ValueError, BasePointError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_IO, f"invalid curve: {exc}")
     pres = bundles.normal_presentation(ctx)
     rows = []

@@ -34,7 +34,7 @@ from .poly import (
     render_poly,
     section_dim,
 )
-from .linalg import QMatrix, _echelon, _integer_rows, exact
+from .linalg import QMatrix, _echelon, _integer_rows, exact, rank
 
 
 class TwistMismatchError(ValueError):
@@ -80,7 +80,7 @@ def binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
     first = top + 1 - len(row)
     lead = row[pivots[-1] - first]
     terms = {(top - c, c - top + k): Fraction(x, lead) for c, x in enumerate(row, first)}
-    return HomPoly._unchecked(2, k, terms)
+    return HomPoly(2, k, terms)
 
 
 def binary_gcd_many(forms: Sequence[HomPoly]) -> HomPoly:
@@ -102,6 +102,8 @@ class CurveParam:
     """A base-point-free parametrization of a rational curve in P^n.
 
     forms: n+1 binary forms of one common degree e >= 1 with no common zero.
+    Forms that span S_e, which holds s^e and t^e, have no common zero; the
+    gcd decides only forms whose coefficient rows have rank below e+1.
     """
 
     degree: int
@@ -117,9 +119,12 @@ class CurveParam:
                 raise ValueError("parametrization forms must be binary")
             if f.degree != self.degree:
                 raise ValueError("inhomogeneous parametrization")
-        g = binary_gcd_many(self.forms)
-        if g.is_zero() or g.degree > 0:
-            raise BasePointError("parametrization has base point")
+        e = self.degree
+        rows = [[f.terms.get((e - k, k), 0) for k in range(e + 1)] for f in self.forms]
+        if rank(rows, e + 1) <= e:
+            g = binary_gcd_many(self.forms)
+            if g.is_zero() or g.degree > 0:
+                raise BasePointError("parametrization has base point")
 
     @property
     def ambient_vars(self) -> int:
@@ -208,7 +213,7 @@ class GradedMap:
                 forms: list[dict] = [{} for _ in source_row]
                 for j, b, c in terms:
                     forms[j][degrees[j] - b, b] = c
-                rows.append(tuple(map(HomPoly._unchecked, repeat(2), degrees, forms)))
+                rows.append(tuple(map(HomPoly, repeat(2), degrees, forms)))
             self._entries = tuple(rows)
         return self._entries
 

@@ -78,17 +78,6 @@ class HomPoly:
         self.degree = degree
         self.terms = clean
 
-    @classmethod
-    def _unchecked(cls, num_vars: int, degree: int, terms: Mapping[Monomial, object]) -> "HomPoly":
-        """A form whose terms are already monomials of `degree` in `num_vars`
-        variables with exact coefficients: zero coefficients are dropped and
-        only non-int ones go through `exact`; nothing else is checked."""
-        self = object.__new__(cls)
-        self.num_vars = num_vars
-        self.degree = degree
-        self.terms = {m: c if type(c) is int else exact(c) for m, c in terms.items() if c}
-        return self
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -213,9 +202,7 @@ class HomPoly:
         number of variables; the result has degree e * deg(self).
 
         The terms are summed from one `monomial_images` table and their keys
-        turned back into exponent tuples, heaviest variable first.  The
-        result is valid by construction, so it is built without the checks
-        of `__init__`.
+        turned back into exponent tuples, heaviest variable first.
         """
         if len(forms) != self.num_vars:
             raise ValueError("need one form per variable")
@@ -233,7 +220,7 @@ class HomPoly:
                 a, k = divmod(k, w)
                 exps.append(a)
             terms[(deg - sum(exps), *reversed(exps))] = c
-        return HomPoly._unchecked(nv, deg, terms)
+        return HomPoly(nv, deg, terms)
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         vals = [exact(x) for x in point]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from math import factorial
@@ -33,22 +32,6 @@ SEMISTABILITY_NOTE = (
     "checks (grauert_mulich_chern, dual_identity, k_tower_slopes), not by a "
     "decision procedure."
 )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    elapsed_s: float
-    detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "detail": self.detail,
-        }
 
 
 def _line_multiset(n: int) -> tuple[int, ...]:
@@ -404,13 +387,15 @@ def run_corpus(scope: str) -> dict:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failing check, not a crash of verify
             ok, detail = False, f"exception: {exc!r}"
-        elapsed = time.monotonic() - t0
+        elapsed = round(time.monotonic() - t0, 3)
         passed = passed and ok
-        checks.append(CheckResult(name, "pass" if ok else "fail", elapsed, detail))
+        checks.append(
+            {"name": name, "status": "pass" if ok else "fail", "elapsed_s": elapsed, "detail": detail}
+        )
     return {
         "command": "verify",
         "scope": scope,
         "passed": passed,
-        "checks": [c.to_json() for c in checks],
+        "checks": checks,
         "note": SEMISTABILITY_NOTE,
     }

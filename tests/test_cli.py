@@ -113,12 +113,14 @@ def test_restrict_bad_curve_file_exit_3(tmp_path, capsys):
     assert main(
         ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
     ) == 3
+    capsys.readouterr()
 
     path2 = tmp_path / "basepoint.json"
     path2.write_text(json.dumps({"degree": 2, "forms": ["Z0^2", "Z0*Z1", "0"]}))
     assert main(
         ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path2)]
     ) == 3
+    assert capsys.readouterr().err == "invalid curve: parametrization has base point\n"
 
     assert main(
         ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path",

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from veronese import gradedmap
 from veronese.curves import random_line, rnc, standard_line
 from veronese.bundles import euler_presentation
 from veronese.gradedmap import BasePointError, CurveParam, binary_gcd_many
+from veronese.linalg import QMatrix
 from veronese.p1split import splitting_type
 from veronese.poly import HomPoly
 from veronese.prng import SplitMix64
@@ -101,3 +104,136 @@ def test_splitmix_reference_values():
     rng2 = SplitMix64(0)
     assert rng2.next_u64() == first
     assert SplitMix64(1).next_u64() != first
+
+
+# -- the curve builder against the two draw loops it replaced -------------------
+
+
+def _reference_standard_line(n):
+    forms = [HomPoly.variable(2, 0), HomPoly.variable(2, 1)]
+    return CurveParam(1, tuple(forms + [HomPoly.zero(2, 1)] * (n - 1)))
+
+
+def _reference_random_line(n, seed):
+    rng = SplitMix64(seed)
+    while True:
+        coeffs = [(rng.next_int(-9, 9), rng.next_int(-9, 9)) for _ in range(n + 1)]
+        if QMatrix(coeffs).rank() == 2:
+            break
+    return CurveParam(1, tuple(HomPoly(2, 1, {(1, 0): a, (0, 1): b}) for a, b in coeffs))
+
+
+def _reference_rnc(n, seed):
+    if seed == 0:
+        rows = QMatrix.identity(n + 1).data
+    else:
+        rng = SplitMix64(seed)
+        while True:
+            rows = [[rng.next_int(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
+            if QMatrix(rows).rank() == n + 1:
+                break
+    forms = tuple(HomPoly(2, n, {(n - k, k): c for k, c in enumerate(row) if c}) for row in rows)
+    return CurveParam(n, forms)
+
+
+def test_curves_match_reference_draw_loops():
+    """Lines and RNCs built from coefficient rows by one draw loop are the
+    curves the separate per-kind loops drew: n = 1..6, seeds 0..149."""
+    for n in range(1, 8):
+        assert standard_line(n).to_json() == _reference_standard_line(n).to_json()
+    for n in range(1, 7):
+        for seed in range(150):
+            assert random_line(n, seed).to_json() == _reference_random_line(n, seed).to_json()
+            assert rnc(n, seed).to_json() == _reference_rnc(n, seed).to_json()
+
+
+@pytest.mark.parametrize(
+    "make", [standard_line, lambda n: random_line(n, 3), lambda n: rnc(n, 0), lambda n: rnc(n, 3)]
+)
+def test_curve_makers_refuse_n_below_one(make):
+    """Refused before any draw, which for a line with n < 1 would never end."""
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        make(0)
+
+
+# -- the base-point check: a coefficient-rank certificate ahead of the gcd ----------
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Count the calls `CurveParam` makes to `binary_gcd_many`."""
+    calls = []
+
+    def spy(forms):
+        calls.append(forms)
+        return binary_gcd_many(forms)
+
+    monkeypatch.setattr(gradedmap, "binary_gcd_many", spy)
+    return calls
+
+
+def test_spanning_curves_skip_the_gcd(gcd_calls):
+    for n in range(1, 8):
+        standard_line(n)
+        for seed in range(5):
+            random_line(n, seed)
+            rnc(n, seed)
+    CurveParam.from_json({"degree": 4, "forms": ["Z0^4", "Z0^3*Z1", "Z0^2*Z1^2", "Z0*Z1^3", "Z1^4"]})
+    CurveParam.from_json({"degree": 2, "forms": ["1/2*Z0^2 - Z1^2", "Z0*Z1", "Z0^2", "0"]})
+    rnc(40, 0)
+    assert gcd_calls == []
+
+
+def test_curves_that_do_not_span_reach_the_gcd(gcd_calls):
+    s, t = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
+    CurveParam(2, (s.power(2), t.power(2)))
+    CurveParam(3, (s.power(3), t.power(3), s * s * t + s * t * t))
+    assert len(gcd_calls) == 2
+    with pytest.raises(BasePointError, match="^parametrization has base point$"):
+        CurveParam(2, (s.power(2), s * t))
+    with pytest.raises(BasePointError, match="^parametrization has base point$"):
+        CurveParam(1, (HomPoly.zero(2, 1), HomPoly.zero(2, 1)))
+    assert len(gcd_calls) == 4
+
+
+def _random_form(rng, degree):
+    """A binary form with some coefficients zero and some Fractions."""
+    terms = {}
+    for b in range(degree + 1):
+        kind = rng.next_below(4)
+        c = 0 if kind == 0 else rng.next_int(-4, 4)
+        terms[degree - b, b] = Fraction(c, rng.next_int(1, 5)) if kind == 1 else c
+    return HomPoly(2, degree, terms)
+
+
+def test_base_point_verdicts_match_the_gcd(gcd_calls):
+    """2000 seeded sets of 2-6 forms of degree 1-7: some base-point free,
+    the rest with a planted common factor of degree 1 to e (a power of s
+    or of t, or a random form).  `CurveParam` accepts exactly the sets
+    whose gcd has degree 0, and consults the gcd only when the forms do
+    not span S_e."""
+    rng = SplitMix64(1616)
+    s, t = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
+    certified = accepted = refused = 0
+    for _ in range(2000):
+        e = rng.next_int(1, 7)
+        k = rng.next_int(0, e) if rng.next_below(2) else 0
+        planted = rng.next_below(3)
+        h = s.power(k) if planted == 0 else t.power(k) if planted == 1 else _random_form(rng, k)
+        forms = tuple(h * _random_form(rng, e - k) for _ in range(rng.next_int(2, 6)))
+        g = binary_gcd_many(forms)
+        free = not g.is_zero() and g.degree == 0
+        before = len(gcd_calls)
+        try:
+            CurveParam(e, forms)
+        except BasePointError as exc:
+            assert not free and str(exc) == "parametrization has base point", forms
+            refused += 1
+        else:
+            assert free, forms
+            if len(gcd_calls) == before:
+                certified += 1
+            else:
+                accepted += 1
+    print(f"\ncertified {certified}, accepted by the gcd {accepted}, refused {refused}")
+    assert min(certified, accepted, refused) >= 150
