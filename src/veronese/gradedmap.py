@@ -102,8 +102,10 @@ class CurveParam:
     """A base-point-free parametrization of a rational curve in P^n.
 
     forms: n+1 binary forms of one common degree e >= 1 with no common zero.
-    Forms that span S_e, which holds s^e and t^e, have no common zero; the
-    gcd decides only forms whose coefficient rows have rank below e+1.
+    Forms that span S_e, which holds s^e and t^e, have none; others have
+    none exactly when the stratum at 2e - 1 of [f_0 ... f_n] : O(-e)^(n+1)
+    -> O has rank 2e, as two coprime combinations generate S_(2e-1)
+    (Sylvester) and a common factor h caps the rank at 2e - deg h.
     """
 
     degree: int
@@ -122,8 +124,8 @@ class CurveParam:
         e = self.degree
         rows = [[f.terms.get((e - k, k), 0) for k in range(e + 1)] for f in self.forms]
         if rank(rows, e + 1) <= e:
-            g = binary_gcd_many(self.forms)
-            if g.is_zero() or g.degree > 0:
+            sylvester = GradedMap(2, (-e,) * len(self.forms), (0,), [self.forms])
+            if rank(*sylvester.stratum_rows(2 * e - 1)) < 2 * e:
                 raise BasePointError("parametrization has base point")
 
     @property

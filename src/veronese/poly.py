@@ -304,11 +304,13 @@ def monomial_images(forms: Sequence[HomPoly], top: int) -> _ImageTable:
 #
 # Canonical rendering: terms in graded-lex order, "coeff*Z0^a*Z1^b" with unit
 # exponents shortened to "Z0" and pure constants rendered as the coefficient.
-# The parser accepts exactly what render_poly produces (plus redundant "+/-"
-# spacing), and round-trips exactly.
+# The parser reads what render_poly writes and round-trips it exactly; its digits
+# are ASCII only.  It also takes "+" in any spacing, leading or before "-", a second
+# "-" on a coefficient, unit and zero coefficients and exponents, unreduced fractions,
+# repeated terms and variable factors, and leading zeros in indices and exponents.
 
-_TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)(?:\*)?)?((?:Z\d+(?:\^\d+)?(?:\*Z\d+(?:\^\d+)?)*))?$")
-_VAR_RE = re.compile(r"^Z(\d+)(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?(Z\d+(?:\^\d+)?(?:\*Z\d+(?:\^\d+)?)*)?$", re.ASCII)
+_VAR_RE = re.compile(r"^Z(\d+)(?:\^(\d+))?$", re.ASCII)
 
 
 def render_poly(p: HomPoly) -> str:
@@ -341,17 +343,14 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
     if s == "0":
         return HomPoly.zero(num_vars, degree)
     # normalize to '+'-separated signed terms
-    s = s.replace("- ", "+ -").replace("+ ", "+")
-    if s.startswith("+"):
-        s = s[1:]
+    s = s.replace("- ", "+ -").replace("+ ", "+").removeprefix("+")
     chunks = [c.strip() for c in s.split("+")]
     terms: dict[Monomial, int | Fraction] = {}
     for chunk in chunks:
         if not chunk:
             raise ValueError(f"empty term in {text!r}")
         negate = chunk.startswith("-")
-        if negate:
-            chunk = chunk[1:]
+        chunk = chunk.removeprefix("-")
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse term {chunk!r}")
@@ -359,8 +358,6 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
             coeff = Fraction(m.group(1)) if m.group(1) else 1
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {chunk!r}") from None
-        if negate:
-            coeff = -coeff
         exps = [0] * num_vars
         if m.group(2):
             for factor in m.group(2).split("*"):
@@ -376,5 +373,5 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
             raise ValueError(
                 f"term {chunk!r} has degree {sum(mono)}, expected {degree}"
             )
-        terms[mono] = terms.get(mono, 0) + coeff
+        terms[mono] = terms.get(mono, 0) + (-coeff if negate else coeff)
     return HomPoly(num_vars, degree, terms)

@@ -10,7 +10,11 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import veronese.verify as verify_mod
+from veronese.bundles import euler_presentation
 from veronese.cli import main
+from veronese.gradedmap import CurveParam
+from veronese.p1split import splitting_type
+from veronese.poly import HomPoly, render_poly
 from veronese.prng import SplitMix64
 
 
@@ -136,6 +140,11 @@ def test_restrict_bad_curve_file_exit_3(tmp_path, capsys):
         {"degree": 1, "forms": None},
         {"degree": 1, "forms": [1, 2, 3]},
         {"degree": 1, "forms": ["1/0*Z0", "Z1", "0"]},
+        # non-ASCII digits in a coefficient, an index and an exponent
+        {"degree": 2, "forms": ["\u0663*Z0^2", "Z0*Z1", "Z1^2"]},
+        {"degree": 1, "forms": ["Z0", "Z\u0661", "0"]},
+        {"degree": 2, "forms": ["Z0^\u0662", "Z0*Z1", "Z1^2"]},
+        {"degree": 2, "forms": ["\uff13*Z0^2", "Z0*Z1", "Z1^2"]},
     ],
 )
 def test_restrict_malformed_curve_file_exit_3(tmp_path, capsys, blob):
@@ -146,6 +155,31 @@ def test_restrict_malformed_curve_file_exit_3(tmp_path, capsys, blob):
     ) == 3
     err = capsys.readouterr().err
     assert "invalid curve" in err and "Traceback" not in err
+
+
+def test_restrict_curve_file_that_does_not_span(tmp_path, capsys):
+    """A plane quartic's three forms cannot span the quartics, so the
+    Sylvester rank decides its base points.  At d = 2 the restriction of
+    N is Sym^2 of the tangent bundle's type along the same curve, for
+    every curve.  The same forms times a common linear factor are refused."""
+    rng = SplitMix64(4)
+    forms = [HomPoly(2, 4, {(4 - k, k): rng.next_int(-9, 9) for k in range(5)}) for _ in range(3)]
+    curve = CurveParam(4, tuple(forms))
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(curve.to_json()))
+    code, payload = _run_json(
+        capsys, ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
+    )
+    assert code == 0
+    tangent = splitting_type(euler_presentation(2).pullback(curve))
+    assert payload["samples"][0]["splitting"]["degrees"] == list(tangent.sym_square().degrees)
+
+    factor = HomPoly(2, 1, {(1, 0): 2, (0, 1): -3})
+    path.write_text(json.dumps({"degree": 5, "forms": [render_poly(factor * f) for f in forms]}))
+    assert main(
+        ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
+    ) == 3
+    assert capsys.readouterr().err == "invalid curve: parametrization has base point\n"
 
 
 def test_restrict_deeply_nested_curve_file_exit_3(tmp_path, capsys):

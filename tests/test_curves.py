@@ -4,11 +4,11 @@ from importlib import resources
 
 import pytest
 
-from veronese import gradedmap
+from veronese import gradedmap, linalg
 from veronese.curves import random_line, rnc, standard_line
 from veronese.bundles import euler_presentation
 from veronese.gradedmap import BasePointError, CurveParam, binary_gcd_many
-from veronese.linalg import QMatrix
+from veronese.linalg import QMatrix, rank
 from veronese.p1split import splitting_type
 from veronese.poly import HomPoly
 from veronese.prng import SplitMix64
@@ -156,7 +156,7 @@ def test_curve_makers_refuse_n_below_one(make):
         make(0)
 
 
-# -- the base-point check: a coefficient-rank certificate ahead of the gcd ----------
+# -- the base-point check: a coefficient-rank certificate ahead of the Sylvester rank --
 
 
 @pytest.fixture
@@ -172,6 +172,20 @@ def gcd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The column counts of the ranks `CurveParam` takes: e + 1 for the
+    coefficient rows, then (n+1)e for the Sylvester stratum at 2e - 1."""
+    calls = []
+
+    def spy(rows, cols):
+        calls.append(cols)
+        return rank(rows, cols)
+
+    monkeypatch.setattr(gradedmap, "rank", spy)
+    return calls
+
+
 def test_spanning_curves_skip_the_gcd(gcd_calls):
     for n in range(1, 8):
         standard_line(n)
@@ -184,16 +198,17 @@ def test_spanning_curves_skip_the_gcd(gcd_calls):
     assert gcd_calls == []
 
 
-def test_curves_that_do_not_span_reach_the_gcd(gcd_calls):
+def test_curves_that_do_not_span_are_decided_by_the_sylvester_rank(gcd_calls, rank_calls):
     s, t = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
     CurveParam(2, (s.power(2), t.power(2)))
     CurveParam(3, (s.power(3), t.power(3), s * s * t + s * t * t))
-    assert len(gcd_calls) == 2
+    assert rank_calls == [3, 4, 4, 9]
     with pytest.raises(BasePointError, match="^parametrization has base point$"):
         CurveParam(2, (s.power(2), s * t))
     with pytest.raises(BasePointError, match="^parametrization has base point$"):
         CurveParam(1, (HomPoly.zero(2, 1), HomPoly.zero(2, 1)))
-    assert len(gcd_calls) == 4
+    assert rank_calls == [3, 4, 4, 9, 3, 4, 2, 2]
+    assert gcd_calls == []
 
 
 def _random_form(rng, degree):
@@ -206,12 +221,13 @@ def _random_form(rng, degree):
     return HomPoly(2, degree, terms)
 
 
-def test_base_point_verdicts_match_the_gcd(gcd_calls):
+def test_base_point_verdicts_match_the_gcd(gcd_calls, rank_calls):
     """2000 seeded sets of 2-6 forms of degree 1-7: some base-point free,
     the rest with a planted common factor of degree 1 to e (a power of s
     or of t, or a random form).  `CurveParam` accepts exactly the sets
-    whose gcd has degree 0, and consults the gcd only when the forms do
-    not span S_e."""
+    whose gcd has degree 0, by one coefficient rank when the forms span
+    S_e and otherwise by the rank of the Sylvester stratum, and never
+    calls the gcd."""
     rng = SplitMix64(1616)
     s, t = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
     certified = accepted = refused = 0
@@ -223,7 +239,7 @@ def test_base_point_verdicts_match_the_gcd(gcd_calls):
         forms = tuple(h * _random_form(rng, e - k) for _ in range(rng.next_int(2, 6)))
         g = binary_gcd_many(forms)
         free = not g.is_zero() and g.degree == 0
-        before = len(gcd_calls)
+        rank_calls.clear()
         try:
             CurveParam(e, forms)
         except BasePointError as exc:
@@ -231,9 +247,36 @@ def test_base_point_verdicts_match_the_gcd(gcd_calls):
             refused += 1
         else:
             assert free, forms
-            if len(gcd_calls) == before:
+            if rank_calls == [e + 1]:
                 certified += 1
             else:
+                assert rank_calls == [e + 1, len(forms) * e], forms
                 accepted += 1
-    print(f"\ncertified {certified}, accepted by the gcd {accepted}, refused {refused}")
+    print(f"\ncertified {certified}, accepted by the Sylvester rank {accepted}, refused {refused}")
     assert min(certified, accepted, refused) >= 150
+    assert gcd_calls == []
+
+
+def test_high_degree_curves_that_do_not_span_rank_with_no_exact_elimination(monkeypatch):
+    """Three random integer forms of degree 16, 32 and 64 do not span S_e,
+    so the Sylvester stratum decides them: its modular rank is full, so no
+    exact elimination runs.  The same forms times s + 2t are refused."""
+    echelon, echelon_calls = linalg._echelon, []
+
+    def spy(m, cols):
+        echelon_calls.append(cols)
+        return echelon(m, cols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    monkeypatch.setattr(gradedmap, "_echelon", spy)
+    rng = SplitMix64(17)
+    factor = HomPoly(2, 1, {(1, 0): 1, (0, 1): 2})
+    for e in (16, 32, 64):
+        forms = tuple(
+            HomPoly(2, e, {(e - k, k): rng.next_int(-9, 9) for k in range(e + 1)}) for _ in range(3)
+        )
+        CurveParam(e, forms)
+        assert echelon_calls == [], e
+        with pytest.raises(BasePointError, match="^parametrization has base point$"):
+            CurveParam(e + 1, tuple(factor * f for f in forms))
+        echelon_calls.clear()

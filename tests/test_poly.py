@@ -229,3 +229,38 @@ def test_parse_rejects_garbage():
         parse_poly("Z5", 2, 1)
     with pytest.raises(ValueError):
         parse_poly("Z0^2", 2, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "٣*Z0^2",  # ARABIC-INDIC DIGIT THREE as a coefficient
+        "Z٣^2",  # ... as a variable index
+        "Z0^٢",  # ARABIC-INDIC DIGIT TWO as an exponent
+        "３*Z0^2",  # FULLWIDTH DIGIT THREE
+        "3/٢*Z0^2",  # ... as a denominator
+        "Z0^2 + ٣*Z1^2",
+    ],
+    ids=["coefficient", "index", "exponent", "fullwidth", "denominator", "second-term"],
+)
+def test_parse_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^cannot parse term"):
+        parse_poly(text, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("+ Z0^2", "Z0^2"),  # a leading "+"
+        ("Z0^2+Z1^2", "Z0^2 + Z1^2"),  # "+" in any spacing
+        ("Z0^2 + -Z1^2", "Z0^2 - Z1^2"),  # "+" before "-"
+        ("--3*Z0^2", "3*Z0^2"),  # a second "-" on a coefficient
+        ("1*Z0^1*Z1 + 0*Z1^2 + Z2^2*Z3^0", "Z0*Z1 + Z2^2"),  # unit and zero parts
+        ("2/4*Z0^2", "1/2*Z0^2"),  # an unreduced fraction
+        ("Z0*Z0 + Z0^2", "2*Z0^2"),  # repeated variable factors and terms
+        ("Z00^02", "Z0^2"),  # leading zeros in an index and an exponent
+    ],
+    ids=["plus", "spacing", "plus-minus", "minus-minus", "unit-zero", "fraction", "repeats", "zeros"],
+)
+def test_parse_leniencies_normalize(text, canonical):
+    assert render_poly(parse_poly(text, 4, 2)) == canonical
