@@ -305,10 +305,13 @@ def monomial_images(forms: Sequence[HomPoly], top: int) -> _ImageTable:
 # Canonical rendering: terms in graded-lex order, "coeff*Z0^a*Z1^b" with unit
 # exponents shortened to "Z0" and pure constants rendered as the coefficient.
 # The parser reads what render_poly writes and round-trips it exactly; its digits
-# are ASCII only.  It also takes "+" in any spacing, leading or before "-", a second
-# "-" on a coefficient, unit and zero coefficients and exponents, unreduced fractions,
-# repeated terms and variable factors, and leading zeros in indices and exponents.
+# are ASCII only.  It also takes "+" and "-" between terms in any spacing, a leading
+# "+", a "+" before "-", spaces after a sign, a second "-" on a coefficient, unit and
+# zero coefficients and exponents, unreduced fractions, repeated terms and variable
+# factors, and leading zeros in indices and exponents.  Every term ends in a digit, so
+# a "-" after a digit (and any spaces) separates terms; any other "-" is a sign.
 
+_BINARY_MINUS_RE = re.compile(r"(?<=\d)\s*-", re.ASCII)
 _TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?(Z\d+(?:\^\d+)?(?:\*Z\d+(?:\^\d+)?)*)?$", re.ASCII)
 _VAR_RE = re.compile(r"^Z(\d+)(?:\^(\d+))?$", re.ASCII)
 
@@ -343,14 +346,14 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
     if s == "0":
         return HomPoly.zero(num_vars, degree)
     # normalize to '+'-separated signed terms
-    s = s.replace("- ", "+ -").replace("+ ", "+").removeprefix("+")
+    s = _BINARY_MINUS_RE.sub("+-", s).removeprefix("+")
     chunks = [c.strip() for c in s.split("+")]
     terms: dict[Monomial, int | Fraction] = {}
     for chunk in chunks:
         if not chunk:
             raise ValueError(f"empty term in {text!r}")
         negate = chunk.startswith("-")
-        chunk = chunk.removeprefix("-")
+        chunk = chunk.removeprefix("-").lstrip()
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse term {chunk!r}")

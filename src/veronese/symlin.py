@@ -11,7 +11,13 @@ pairing <w_1...w_i, l_1...l_i> = (1/i!) sum over permutations of the
 products l_{sigma(k)}(w_k); on monomials this pairing is diagonal with
 entry a!/i! at the exponent vector a.  Both symmetrize-then-dualize routes
 are one weighted transpose, `_dualize`, by these weights on each side; the
-other two routes share no code with it.  All denominators stay exact.
+other two routes share no code with it but the exact division `_quotient`.
+
+All arithmetic stays exact, and for integer maps it stays in ints: the
+weighted transpose and the peel-one-factor formula each form integer
+numerators and divide once per entry, building a Fraction only where that
+division is not exact.  `random_ses` gives psi primitive integer rows, so
+the four routes that `verify` compares never multiply Fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .linalg import QMatrix
+from .linalg import QMatrix, _integer_rows
 from .poly import HomPoly, monomial_images, monomial_index, monomials
 from .prng import SplitMix64
 
@@ -90,13 +96,25 @@ def _dual_weights(dim: int, i: int) -> list[int]:
     return weights
 
 
+def _quotient(x, d: int) -> int | Fraction:
+    """x / d for a positive int d: an int when x is an int that d divides,
+    otherwise a Fraction (rational x, from a user-built sequence, takes
+    this path)."""
+    if type(x) is int:
+        q, r = divmod(x, d)
+        if not r:
+            return q
+    return Fraction(x, d)
+
+
 def _dualize(f: QMatrix, row_weights: list[int], col_weights: list[int]) -> QMatrix:
     """The pairing-weighted transpose of f: entry (r, c) is f[c, r] times
     row_weights[r] / col_weights[c], which translates abstract duals to
-    monomials of the dual variables on both sides."""
+    monomials of the dual variables on both sides.  Each entry is one
+    product and one division, exact in ints for an integer f."""
     return QMatrix(
         [
-            [Fraction(row_weights[r] * x, col_weights[c]) if x else 0 for c, x in enumerate(col)]
+            [_quotient(row_weights[r] * x, col_weights[c]) if x else 0 for c, x in enumerate(col)]
             for r, col in enumerate(zip(*f.data) if f.rows else [()] * f.cols)
         ],
         cols=f.rows,
@@ -144,7 +162,9 @@ def quotient_via_symmetrize_then_dualize(ses: LinearSES, i: int) -> QMatrix:
 
 def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
     """Route two, the explicit peel-one-factor formula: a monomial l^a maps
-    to (1/i) sum_j a_j [l^(a - e_j)] (x) phi^T(l_j)."""
+    to (1/i) sum_j a_j [l^(a - e_j)] (x) phi^T(l_j).  The numerators a_j c
+    are summed first and each entry is divided by i once, so an integer phi
+    is worked in ints."""
     n_dim = ses.phi.rows
     m_dim = ses.phi.cols
     if not n_dim:  # the zero sequence: Sym^i 0 = 0 and M = 0
@@ -157,12 +177,12 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
             if not a[j]:
                 continue
             low = low_index[a[:j] + (a[j] - 1,) + a[j + 1 :]] * m_dim
-            w = Fraction(a[j], i)
-            for k in range(m_dim):
-                c = ses.phi[(j, k)]
+            for k, c in enumerate(ses.phi.data[j]):
                 if c:
-                    rows[low + k][ai] += w * c
-    return QMatrix(rows, cols=len(src_monos))
+                    rows[low + k][ai] += a[j] * c
+    return QMatrix(
+        [[_quotient(x, i) if x else 0 for x in row] for row in rows], cols=len(src_monos)
+    )
 
 
 def check_commute(ses: LinearSES, i: int) -> bool:
@@ -187,9 +207,16 @@ def quotient_map(ses: LinearSES, i: int) -> QMatrix:
 def random_ses(seed: int, max_middle: int = 5) -> LinearSES:
     """Seeded random exact sequence with small integer entries.
 
-    phi is a random injective integer matrix; psi rows span the left kernel
-    of phi.  Dimensions are drawn with 1 <= dim M, dim P and dim N <= max_middle.
+    phi is a random injective integer matrix with entries in [-4, 4].  The
+    rows of psi span the left kernel of phi: each vector of `kernel_basis`
+    is scaled by the lcm of its denominators.  It has an entry 1, so for
+    each prime of that lcm some scaled entry is prime to it, and psi has
+    primitive integer rows.  Scaling changes the sequence only by a
+    diagonal change of basis of P.  Dimensions are drawn with
+    1 <= dim M, dim P and dim N <= max_middle, so max_middle must be >= 2.
     """
+    if max_middle < 2:
+        raise ValueError(f"max_middle must be >= 2, got {max_middle}")
     rng = SplitMix64(seed)
     while True:
         n = rng.next_int(2, max_middle)
@@ -200,5 +227,5 @@ def random_ses(seed: int, max_middle: int = 5) -> LinearSES:
         if phi.rank() != m:
             continue
         kernel = phi.transpose().kernel_basis()
-        psi = QMatrix([[v[(j, 0)] for j in range(n)] for v in kernel])
-        return LinearSES(phi, psi)
+        psi = _integer_rows([x for (x,) in v.data] for v in kernel)
+        return LinearSES(phi, QMatrix(psi, cols=n))

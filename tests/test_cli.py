@@ -111,6 +111,19 @@ def test_restrict_curve_file(tmp_path, capsys):
     assert payload["samples"][0]["splitting"]["degrees"] == [4, 3, 2]
 
 
+def test_restrict_curve_file_with_unspaced_minus(tmp_path, capsys):
+    """A conic whose third form is written "Z1^2-Z0^2": the parser reads an
+    unspaced "-" between terms, and the type is the RNC's at n = 2."""
+    path = tmp_path / "conic.json"
+    path.write_text(json.dumps({"degree": 2, "forms": ["Z0^2", "Z0*Z1", "Z1^2-Z0^2"]}))
+    code, payload = _run_json(
+        capsys,
+        ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)],
+    )
+    assert code == 0
+    assert payload["samples"][0]["splitting"]["degrees"] == [6, 6, 6]
+
+
 def test_restrict_bad_curve_file_exit_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

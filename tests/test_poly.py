@@ -253,14 +253,31 @@ def test_parse_reads_ascii_digits_only(text):
     [
         ("+ Z0^2", "Z0^2"),  # a leading "+"
         ("Z0^2+Z1^2", "Z0^2 + Z1^2"),  # "+" in any spacing
+        ("Z0^2-Z1^2 -Z2^2-  Z3^2", "Z0^2 - Z1^2 - Z2^2 - Z3^2"),  # "-" in any spacing
         ("Z0^2 + -Z1^2", "Z0^2 - Z1^2"),  # "+" before "-"
+        ("- Z0^2 + - 3*Z1^2", "-Z0^2 - 3*Z1^2"),  # spaces after a sign
         ("--3*Z0^2", "3*Z0^2"),  # a second "-" on a coefficient
+        ("-Z0^2 - -3*Z1^2", "-Z0^2 + 3*Z1^2"),  # ... after a "-" between terms
+        ("Z0^2--3*Z1^2", "Z0^2 + 3*Z1^2"),  # ... in any spacing
         ("1*Z0^1*Z1 + 0*Z1^2 + Z2^2*Z3^0", "Z0*Z1 + Z2^2"),  # unit and zero parts
         ("2/4*Z0^2", "1/2*Z0^2"),  # an unreduced fraction
         ("Z0*Z0 + Z0^2", "2*Z0^2"),  # repeated variable factors and terms
         ("Z00^02", "Z0^2"),  # leading zeros in an index and an exponent
     ],
-    ids=["plus", "spacing", "plus-minus", "minus-minus", "unit-zero", "fraction", "repeats", "zeros"],
+    ids=[
+        "plus",
+        "spacing",
+        "minus-spacing",
+        "plus-minus",
+        "sign-space",
+        "minus-minus",
+        "minus-minus-term",
+        "minus-minus-unspaced",
+        "unit-zero",
+        "fraction",
+        "repeats",
+        "zeros",
+    ],
 )
 def test_parse_leniencies_normalize(text, canonical):
     assert render_poly(parse_poly(text, 4, 2)) == canonical

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -231,3 +231,54 @@ def test_zero_dimensional_ends(i):
             assert (f.rows, f.cols) == shape, route.__name__
         assert check_commute(ses, i)
     assert sym_power(zero_p.psi, i) == QMatrix.zero(0, comb(i + 1, i))
+
+
+def _rational_psi(phi):
+    """psi as the rows of `kernel_basis` of phi^T, unscaled: rational rows
+    with 1 in each free column, the form random_ses gave before it cleared
+    denominators."""
+    return QMatrix([[x for (x,) in v.data] for v in phi.transpose().kernel_basis()], cols=phi.rows)
+
+
+def test_random_ses_psi_is_primitive_integer_kernel():
+    rational = 0
+    for seed in range(200):
+        ses = random_ses(seed)
+        m, n, p = ses.dims
+        for row in ses.psi.data:
+            assert {type(x) for x in row} == {int}
+            assert gcd(*row) == 1
+        assert (ses.psi * ses.phi).is_zero()
+        old = _rational_psi(ses.phi)
+        rational += any(type(x) is Fraction for row in old.data for x in row)
+        assert QMatrix(ses.psi.data + old.data, cols=n).rank() == p
+    assert rational >= 100  # most seeds used to give a Fraction psi
+
+
+@pytest.mark.parametrize("max_middle", [1, 0, -3])
+def test_random_ses_refuses_small_max_middle(max_middle):
+    with pytest.raises(ValueError, match=f"^max_middle must be >= 2, got {max_middle}$"):
+        random_ses(7, max_middle=max_middle)
+    assert random_ses(7, max_middle=2).dims == (1, 2, 1)
+
+
+def test_check_commute_with_rational_psi_and_phi():
+    """The Fraction paths of every route: the old rational psi of random_ses,
+    then phi scaled by 1/3 as well.  Both quotient routes are linear in phi,
+    so scaling phi scales them, which checks the rational path of each
+    against its own integer path."""
+    rng = SplitMix64(37)
+    fractions = 0
+    for k in range(60):
+        ses = random_ses(rng.next_u64())
+        i = 1 + k % 3
+        rational = LinearSES(ses.phi, _rational_psi(ses.phi))
+        assert check_commute(rational, i)
+        third = QMatrix([[Fraction(x, 3) for x in row] for row in ses.phi.data])
+        scaled = LinearSES(third, rational.psi)
+        assert check_commute(scaled, i)
+        for route in (quotient_via_symmetrize_then_dualize, quotient_via_dualize_then_symmetrize):
+            whole, part = route(ses, i), route(scaled, i)
+            assert part.data == tuple(tuple(Fraction(x, 3) for x in row) for row in whole.data)
+        fractions += any(type(x) is Fraction for row in rational.psi.data for x in row)
+    assert fractions >= 20
