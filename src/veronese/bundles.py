@@ -148,13 +148,6 @@ def euler_presentation(n: int) -> GradedMap:
     return GradedMap(nv, [0], [1] * nv, rows)
 
 
-def power_column(ctx: VeroneseContext) -> GradedMap:
-    """Column of all degree-d monomials: O(-d) -> O^C(n+d,d)."""
-    nv = ctx.num_vars
-    rows = [[HomPoly.monomial(nv, g)] for g in monomials(nv, ctx.d)]
-    return GradedMap(nv, [-ctx.d], [0] * ctx.sym_dim, rows)
-
-
 @dataclass(frozen=True)
 class DualIdentityReport:
     """Outcome of comparing dual(theta) with the (d-1)-step contraction."""
@@ -179,7 +172,10 @@ def verify_dual_identity(ctx: VeroneseContext) -> DualIdentityReport:
     """Check dual(theta) = D * delta^{d-1} for an invertible diagonal D.
 
     The twists of dual(theta) already match those of delta^{d-1}; the
-    comparison is entrywise on polynomial matrices.  With this package's
+    comparison is entrywise on polynomial matrices.  A row's scale is read
+    at the leading term of its first nonzero entry of dual(theta), and
+    every entry of delta^{d-1} in that row, zero or not, must be that
+    scale times the one of dual(theta).  With this package's
     conventions the diagonal is constant (d-1)!, which the report records.
     """
     lhs = theta_matrix(ctx).dual()
@@ -191,31 +187,24 @@ def verify_dual_identity(ctx: VeroneseContext) -> DualIdentityReport:
         return DualIdentityReport(
             False, (), False, None, "twist lists disagree"
         )
-    p, q = lhs.shape
     scales = []
-    for r in range(p):
-        scale = None
-        for c in range(q):
-            a, b = lhs.entry(r, c), rhs.entry(r, c)
-            if a.is_zero() != b.is_zero():
-                return DualIdentityReport(
-                    False, tuple(scales), False, None,
-                    f"zero pattern differs at ({r},{c})",
-                )
-            if a.is_zero():
-                continue
-            if scale is None:
-                lead = a.sorted_terms()[0]
-                scale = exact(Fraction(b.coeff(lead[0]), lead[1]))
+    for r, (arow, brow) in enumerate(zip(lhs.entries, rhs.entries)):
+        scale = 0
+        for a, b in zip(arow, brow):
+            if not a.is_zero():
+                mono, x = a.sorted_terms()[0]
+                scale = exact(Fraction(b.coeff(mono), x))
+                break
+        if not scale:
+            return DualIdentityReport(
+                False, tuple(scales), False, None, f"row {r} gives no invertible scale"
+            )
+        for c, (a, b) in enumerate(zip(arow, brow)):
             if b != a * scale:
                 return DualIdentityReport(
                     False, tuple(scales), False, None,
                     f"rows not proportional at ({r},{c})",
                 )
-        if scale is None or scale == 0:
-            return DualIdentityReport(
-                False, tuple(scales), False, None, f"row {r} gives no invertible scale"
-            )
         scales.append(scale)
     constant = len(set(scales)) == 1
     if constant:

@@ -123,6 +123,7 @@ def cmd_restrict(args) -> int:
         return _fail(EXIT_IO, f"invalid curve: {exc}")
     pres = bundles.normal_presentation(ctx)
     rows = []
+    lines = [f"restriction of the (n={ctx.n}, d={ctx.d}) normal bundle: {curve_info}"]
     seen = set()
     for index, (seed, curve) in enumerate(samples):
         st = p1split.splitting_type(pres.pullback(curve))
@@ -137,23 +138,20 @@ def cmd_restrict(args) -> int:
                 "gm": rep.to_json(),
             }
         )
+        lines.append(
+            f"  sample {index} (seed {seed}): {list(st.degrees)}"
+            f"  gm {'ok' if rep.all_ok else 'VIOLATION'}"
+        )
+    identical = len(seen) == 1
+    lines.append(f"  all samples identical: {identical}")
     payload = {
         "command": "restrict",
         "n": ctx.n,
         "d": ctx.d,
         "curve": curve_info,
         "samples": rows,
-        "allSamplesIdentical": len(seen) == 1,
+        "allSamplesIdentical": identical,
     }
-    lines = [f"restriction of the (n={ctx.n}, d={ctx.d}) normal bundle: {curve_info}"]
-    for r in rows:
-        gm = r["gm"]
-        verdict = "ok" if gm["spread_ok"] and gm["sum_ok"] and gm["rank_ok"] else "VIOLATION"
-        lines.append(
-            f"  sample {r['index']} (seed {r['seed']}): "
-            f"{r['splitting']['degrees']}  gm {verdict}"
-        )
-    lines.append(f"  all samples identical: {len(seen) == 1}")
     return _emit(payload, "\n".join(lines), args)
 
 

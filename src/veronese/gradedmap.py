@@ -34,7 +34,7 @@ from .poly import (
     render_poly,
     section_dim,
 )
-from .linalg import QMatrix, _echelon, _integer_rows, exact, rank
+from .linalg import QMatrix, exact, rank
 
 
 class TwistMismatchError(ValueError):
@@ -57,9 +57,8 @@ def binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
     O(-b) -> O(0), are the multiples f s^(b-1-j) t^j and g s^(a-1-j) t^j,
     indexed by t-exponent.  The cofactors of the gcd h, of degree k, are
     coprime, so they generate every form of degree top - k: the rows span
-    h S_(top-k), their rank is top + 1 - k, and the last pivot row of
-    `_echelon` is a multiple of h t^(top-k).  The cost is one dense
-    (a+b) x (a+b) fraction-free elimination.
+    h S_(top-k), their rank is top + 1 - k, and the last pivot row of their
+    `rref`, divided by its pivot there, is h t^(top-k) with h monic.
     """
     if f.num_vars != 2 or g.num_vars != 2:
         raise ValueError("binary_gcd needs forms in two variables")
@@ -74,13 +73,10 @@ def binary_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
     if top < 0:
         return HomPoly.constant(2, 1)
     mat, _ = GradedMap(2, (-a, -b), (0,), [[f, g]]).stratum_rows(top)
-    pivots, work = _echelon(_integer_rows(zip(*mat)), top + 1)
+    red, pivots = QMatrix(zip(*mat), top + 1).rref()
     k = top + 1 - len(pivots)
-    row = work[len(pivots) - 1]  # trimmed from the left: it ends at column top
-    first = top + 1 - len(row)
-    lead = row[pivots[-1] - first]
-    terms = {(top - c, c - top + k): Fraction(x, lead) for c, x in enumerate(row, first)}
-    return HomPoly(2, k, terms)
+    row = red.data[len(pivots) - 1]
+    return HomPoly(2, k, {(top - c, c - top + k): x for c, x in enumerate(row) if x})
 
 
 def binary_gcd_many(forms: Sequence[HomPoly]) -> HomPoly:
@@ -105,7 +101,9 @@ class CurveParam:
     Forms that span S_e, which holds s^e and t^e, have none; others have
     none exactly when the stratum at 2e - 1 of [f_0 ... f_n] : O(-e)^(n+1)
     -> O has rank 2e, as two coprime combinations generate S_(2e-1)
-    (Sylvester) and a common factor h caps the rank at 2e - deg h.
+    (Sylvester) and a common factor h caps the rank at 2e - deg h.  That
+    stratum's columns are the multiples f_j s^(e-1-c) t^c, c = 0..e-1: each
+    coefficient row shifted c places.
     """
 
     degree: int
@@ -124,8 +122,8 @@ class CurveParam:
         e = self.degree
         rows = [[f.terms.get((e - k, k), 0) for k in range(e + 1)] for f in self.forms]
         if rank(rows, e + 1) <= e:
-            sylvester = GradedMap(2, (-e,) * len(self.forms), (0,), [self.forms])
-            if rank(*sylvester.stratum_rows(2 * e - 1)) < 2 * e:
+            shifted = [[0] * c + row + [0] * (e - 1 - c) for row in rows for c in range(e)]
+            if rank(zip(*shifted), len(shifted)) < 2 * e:
                 raise BasePointError("parametrization has base point")
 
     @property

@@ -9,9 +9,10 @@ downstream -- splitting types, dual identities, slope tables -- is decided
 by exact ranks and kernels, so no floating point ever enters.
 
 The one exact elimination, ``_echelon``, is a forward fraction-free
-(Bareiss) pass over the rows with their denominators cleared; ``rref``,
-and ``kernel_basis`` through it, finish it by back-substitution in integers,
-and ``gradedmap.binary_gcd`` reads a gcd off its last pivot row.
+(Bareiss) pass over the rows with their denominators cleared.  It has two
+callers: ``rref``, which finishes it by back-substitution in integers and
+serves ``kernel_basis`` and ``gradedmap.binary_gcd``, and the rank fallback
+of ``pivot_columns`` below.
 
 ``pivot_columns``, and ``rank`` as its length, rest on one forward
 elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed

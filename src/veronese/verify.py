@@ -144,7 +144,7 @@ def check_k_tower_slopes(nd_max: int, cross_max: int) -> tuple[bool, str]:
             ctx = VeroneseContext(n, d)
             line = curves.random_line(n, 11) if n > 1 else curves.standard_line(1)
             for i in range(1, d + 1):
-                pres = bundles.delta_matrix(ctx, i).pullback(line).dual()
+                pres = bundles.delta_matrix(ctx, i).dual().pullback(line)
                 st = p1split.splitting_type(pres)
                 want = bundles.k_bundle_stats(ctx, i)
                 if -st.degree != want.degree or st.rank != want.rank:

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from veronese import bundles
 from veronese.bundles import (
     KBundleStats,
     VeroneseContext,
@@ -11,12 +12,11 @@ from veronese.bundles import (
     euler_presentation,
     k_bundle_stats,
     normal_presentation,
-    power_column,
     theta_matrix,
     verify_dual_identity,
     xi_matrix,
 )
-from veronese.curves import standard_line
+from veronese.curves import random_line, standard_line
 from veronese.gradedmap import GradedMap
 from veronese.p1split import splitting_type
 from veronese.poly import HomPoly, monomials
@@ -197,6 +197,60 @@ def test_dual_identity_reports_all_row_scales():
     assert rep.row_scales == (Fraction(2),) * 3
 
 
+def _tamper_delta(monkeypatch, edit):
+    """Make `verify_dual_identity` compare against delta^(d-1) with its
+    rows of forms passed through `edit` first."""
+    real = bundles.delta_matrix
+
+    def tampered(ctx, i):
+        m = real(ctx, i)
+        rows = [list(row) for row in m.entries]
+        edit(rows)
+        return GradedMap(m.num_vars, m.source_twists, m.target_twists, rows)
+
+    monkeypatch.setattr(bundles, "delta_matrix", tampered)
+
+
+def test_dual_identity_with_one_row_rescaled_is_not_scalar(monkeypatch):
+    def rescale(rows):
+        rows[1] = [f * 3 for f in rows[1]]
+
+    _tamper_delta(monkeypatch, rescale)
+    rep = verify_dual_identity(VeroneseContext(2, 3))
+    assert rep.ok and not rep.is_scalar and rep.scale is None
+    assert rep.row_scales == (2, 6, 2)
+    assert rep.detail == "diagonal rescaling exists but row scales are not constant"
+
+
+@pytest.mark.parametrize("zeroed", [True, False])
+def test_dual_identity_with_the_zero_pattern_changed_is_not_proportional(monkeypatch, zeroed):
+    """Zeroing the second nonzero entry of row 1, or filling the first
+    zero entry there, breaks b == scale * a at that entry."""
+    changed = []
+
+    def change(rows):
+        c = [c for c, f in enumerate(rows[1]) if f.is_zero() != zeroed][int(zeroed)]
+        rows[1][c] = HomPoly.zero(3, 2) if zeroed else HomPoly.monomial(3, (2, 0, 0))
+        changed.append(c)
+
+    _tamper_delta(monkeypatch, change)
+    rep = verify_dual_identity(VeroneseContext(2, 3))
+    assert not rep.ok and not rep.is_scalar and rep.scale is None
+    assert rep.row_scales == (2,)
+    assert rep.detail == f"rows not proportional at (1,{changed[0]})"
+
+
+def test_dual_identity_with_one_row_zeroed_has_no_invertible_scale(monkeypatch):
+    def zero_row(rows):
+        rows[1] = [HomPoly.zero(3, f.degree) for f in rows[1]]
+
+    _tamper_delta(monkeypatch, zero_row)
+    rep = verify_dual_identity(VeroneseContext(2, 3))
+    assert not rep.ok and not rep.is_scalar and rep.scale is None
+    assert rep.row_scales == (2,)
+    assert rep.detail == "row 1 gives no invertible scale"
+
+
 def test_k_stats_top_level_is_trivial_bundle():
     for n, d in [(1, 2), (2, 2), (3, 4)]:
         st = k_bundle_stats(VeroneseContext(n, d), d + 1)
@@ -232,8 +286,6 @@ def test_slope_chain_strict_up_to_eight():
 
 def test_k_degree_cross_check_on_line():
     # splitting-degree sum of the dual kernel restriction equals the closed form
-    from veronese.curves import random_line
-
     for n in (1, 2, 3):
         for d in (2, 3):
             ctx = VeroneseContext(n, d)
@@ -246,23 +298,29 @@ def test_k_degree_cross_check_on_line():
                 assert st.rank == want.rank
 
 
+def test_pulling_back_the_dual_equals_dualizing_the_pullback():
+    """`verify.check_k_tower_slopes` pulls back the dual of each contraction,
+    the test above dualizes its pullback: on the full-scope (n, d, i) grid,
+    with the same lines, both routes give one map."""
+    for n in (1, 2, 3):
+        for d in (2, 3):
+            ctx = VeroneseContext(n, d)
+            line = standard_line(1) if n == 1 else random_line(n, 11)
+            for i in range(1, d + 1):
+                delta = delta_matrix(ctx, i)
+                assert delta.dual().pullback(line) == delta.pullback(line).dual(), (n, d, i)
+
+
 def test_euler_consistency():
     # theta composed with the tautological column is d times the monomial column
     for n in (1, 2, 3):
         for d in (2, 3, 4):
             ctx = VeroneseContext(n, d)
             comp = theta_matrix(ctx).compose(euler_presentation(n).twist(-d))
-            pc = power_column(ctx)
             want = GradedMap(
                 n + 1,
-                pc.source_twists,
-                pc.target_twists,
-                [[e * d for e in row] for row in pc.entries],
+                [-d],
+                [0] * ctx.sym_dim,
+                [[HomPoly.monomial(n + 1, g, d)] for g in monomials(n + 1, d)],
             )
             assert comp == want
-
-
-def test_power_column_monomial_order():
-    pc = power_column(VeroneseContext(1, 2))
-    got = [row[0] for row in pc.entries]
-    assert got == [HomPoly.monomial(2, g) for g in monomials(2, 2)]

@@ -7,7 +7,7 @@ import pytest
 from veronese import gradedmap, linalg
 from veronese.curves import random_line, rnc, standard_line
 from veronese.bundles import euler_presentation
-from veronese.gradedmap import BasePointError, CurveParam, binary_gcd_many
+from veronese.gradedmap import BasePointError, CurveParam, GradedMap, binary_gcd_many
 from veronese.linalg import QMatrix, rank
 from veronese.p1split import splitting_type
 from veronese.poly import HomPoly
@@ -257,6 +257,43 @@ def test_base_point_verdicts_match_the_gcd(gcd_calls, rank_calls):
     assert gcd_calls == []
 
 
+def test_the_sylvester_stratum_is_the_shifted_coefficient_rows(monkeypatch):
+    """For forms that do not span S_e, `CurveParam` ranks its coefficient
+    rows shifted c = 0..e-1 places, transposed: entry for entry the
+    `stratum_rows(2e - 1)` of [f_0 ... f_n] : O(-e)^(n+1) -> O, which it
+    never builds as a `GradedMap`."""
+    built, ranked = [], []
+    init = GradedMap.__init__
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def spy_rank(rows, cols):
+        rows = [list(row) for row in rows]
+        ranked.append((rows, cols))
+        return rank(rows, cols)
+
+    monkeypatch.setattr(GradedMap, "__init__", spy_init)
+    monkeypatch.setattr(gradedmap, "rank", spy_rank)
+    rng = SplitMix64(19)
+    for e in range(1, 34):
+        for count in range(2, 6):
+            # at most e independent forms, so the coefficient rank is <= e
+            basis = [_random_form(rng, e) for _ in range(min(count, e))]
+            forms = tuple(basis + [basis[0] * (j + 2) for j in range(count - len(basis))])
+            ranked.clear()
+            try:
+                CurveParam(e, forms)
+            except BasePointError:
+                pass
+            assert built == [], (e, count)
+            assert len(ranked) == 2, (e, count)
+            want = GradedMap(2, (-e,) * count, (0,), [forms]).stratum_rows(2 * e - 1)
+            assert ranked[1] == want, (e, count)
+            built.clear()
+
+
 def test_high_degree_curves_that_do_not_span_rank_with_no_exact_elimination(monkeypatch):
     """Three random integer forms of degree 16, 32 and 64 do not span S_e,
     so the Sylvester stratum decides them: its modular rank is full, so no
@@ -268,7 +305,6 @@ def test_high_degree_curves_that_do_not_span_rank_with_no_exact_elimination(monk
         return echelon(m, cols)
 
     monkeypatch.setattr(linalg, "_echelon", spy)
-    monkeypatch.setattr(gradedmap, "_echelon", spy)
     rng = SplitMix64(17)
     factor = HomPoly(2, 1, {(1, 0): 1, (0, 1): 2})
     for e in (16, 32, 64):
