@@ -18,6 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -39,6 +40,8 @@ class VeroneseContext:
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "d", operator.index(self.d))
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if self.d == 1:

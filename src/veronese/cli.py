@@ -48,15 +48,11 @@ def _emit(payload: dict, table: str, args) -> int:
     return EXIT_OK
 
 
-def _context(args) -> VeroneseContext:
-    return VeroneseContext(args.n, args.d)
-
-
 # -- normal ------------------------------------------------------------------
 
 
 def cmd_normal(args) -> int:
-    ctx = _context(args)
+    ctx = VeroneseContext(args.n, args.d)
     stats = chow.normal_stats(ctx)
     pres = bundles.normal_presentation(ctx)
     hp = chow.hilbert_poly(pres)
@@ -65,9 +61,7 @@ def cmd_normal(args) -> int:
         "command": "normal",
         "n": ctx.n,
         "d": ctx.d,
-        "rank": stats.rank,
-        "degree": stats.degree,
-        "slope": str(stats.slope),
+        **stats.to_json(),
         "hilbert": hp.to_json(),
         "chern": [str(c) for c in chern.coeffs],
         "presentation": pres.to_json(),
@@ -107,7 +101,7 @@ def _curve_samples(args, seed: int) -> tuple[list[tuple[int | None, CurveParam]]
 
 
 def cmd_restrict(args) -> int:
-    ctx = _context(args)
+    ctx = VeroneseContext(args.n, args.d)
     if args.samples < 1:
         return _fail(EXIT_BAD_INPUT, "--samples must be >= 1")
     raw = os.environ.get("VERONESE_SEED", "0")
@@ -159,7 +153,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_slopes(args) -> int:
-    ctx = _context(args)
+    ctx = VeroneseContext(args.n, args.d)
     stats = [bundles.k_bundle_stats(ctx, i) for i in range(1, ctx.d + 2)]
     rows = [
         {"i": i, "rank": st.rank, "degree": st.degree, "slope": str(st.slope)}
@@ -251,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 1:
-        return _fail(EXIT_BAD_INPUT, "n must be >= 1")
     try:
         return args.fn(args)
     except VeroneseDegreeError as exc:

@@ -163,7 +163,7 @@ class CurveParam:
 class GradedMap:
     """Matrix of forms between twisted free sheaves."""
 
-    __slots__ = ("num_vars", "source_twists", "target_twists", "_entries", "_row_terms", "_origin")
+    __slots__ = ("num_vars", "source_twists", "target_twists", "_entries", "_row_terms")
 
     def __init__(
         self,
@@ -197,20 +197,18 @@ class GradedMap:
                     )
         self._entries = rows
         self._row_terms = None
-        self._origin = None
 
     @property
     def entries(self) -> tuple[tuple[HomPoly, ...], ...]:
         """The p x q matrix of forms.  A pullback builds it here, on first
-        read, from its row terms: entry (i, j) gets e times the degree of
-        the entry it was pulled back from, so a zero entry keeps that
-        degree too."""
+        read, from its row terms and its own twists: entry (i, j) gets the
+        degree max(t_i - s_j, 0), so a zero entry gets that degree whatever
+        degree the entry it was pulled back from carried."""
         if self._entries is None:
-            source, e = self._origin
             rows = []
-            for terms, source_row in zip(self._row_terms, source.entries):
-                degrees = [e * f.degree for f in source_row]
-                forms: list[dict] = [{} for _ in source_row]
+            for t, terms in zip(self.target_twists, self._row_terms):
+                degrees = [max(t - s, 0) for s in self.source_twists]
+                forms: list[dict] = [{} for _ in degrees]
                 for j, b, c in terms:
                     forms[j][degrees[j] - b, b] = c
                 rows.append(tuple(map(HomPoly, repeat(2), degrees, forms)))
@@ -350,7 +348,6 @@ class GradedMap:
         out.target_twists = tuple(e * t for t in self.target_twists)
         out._entries = None
         out._row_terms = row_terms
-        out._origin = (self, e)
         return out
 
     def stratum_rows(self, m: int) -> tuple[list[list], int]:

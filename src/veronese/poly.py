@@ -202,7 +202,8 @@ class HomPoly:
         number of variables; the result has degree e * deg(self).
 
         The terms are summed from one `monomial_images` table and their keys
-        turned back into exponent tuples, heaviest variable first.
+        read back into exponent tuples through `images.key`, taken of every
+        monomial of the result degree.
         """
         if len(forms) != self.num_vars:
             raise ValueError("need one form per variable")
@@ -212,15 +213,8 @@ class HomPoly:
             for k, v in images[g].items():
                 acc[k] = acc.get(k, 0) + c * v
         nv, deg = forms[0].num_vars, forms[0].degree * self.degree
-        heavy = images.weights[:0:-1]  # base^(nv-2), ..., base, 1
-        terms = {}
-        for k, c in acc.items():
-            exps = []
-            for w in heavy:
-                a, k = divmod(k, w)
-                exps.append(a)
-            terms[(deg - sum(exps), *reversed(exps))] = c
-        return HomPoly(nv, deg, terms)
+        mono_of = {images.key(m): m for m in monomials(nv, deg)}
+        return HomPoly(nv, deg, {mono_of[k]: c for k, c in acc.items()})
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         vals = [exact(x) for x in point]

@@ -27,6 +27,18 @@ def test_context_rejects_degree_one():
         VeroneseContext(3, 1)
 
 
+@pytest.mark.parametrize("n, d", [(1.5, 2), (2, 2.5), (2.0, 2)])
+def test_context_refuses_non_integers(n, d):
+    with pytest.raises(TypeError):
+        VeroneseContext(n, d)
+
+
+def test_context_takes_integer_like_values():
+    ctx = VeroneseContext(True, 2)
+    assert ctx.n == 1 and type(ctx.n) is int
+    assert ctx == VeroneseContext(1, 2)
+
+
 def test_context_sym_dim():
     assert VeroneseContext(2, 2).sym_dim == 6
     assert VeroneseContext(3, 4).sym_dim == comb(7, 4)
@@ -195,6 +207,24 @@ def test_dual_identity_small():
 def test_dual_identity_reports_all_row_scales():
     rep = verify_dual_identity(VeroneseContext(2, 3))
     assert rep.row_scales == (Fraction(2),) * 3
+
+
+def test_dual_identity_report_json():
+    assert verify_dual_identity(VeroneseContext(2, 3)).to_json() == {
+        "ok": True,
+        "rowScales": ["2", "2", "2"],
+        "isScalar": True,
+        "scale": "2",
+        "detail": "delta^2 = 2 * dual(theta); scalar diagonal = (d-1)!",
+    }
+
+
+def test_dual_identity_with_shifted_twists_disagrees(monkeypatch):
+    real = bundles.delta_matrix
+    monkeypatch.setattr(bundles, "delta_matrix", lambda ctx, i: real(ctx, i).twist(1))
+    rep = verify_dual_identity(VeroneseContext(2, 3))
+    assert rep == bundles.DualIdentityReport(False, (), False, None, "twist lists disagree")
+    assert rep.to_json()["scale"] is None
 
 
 def _tamper_delta(monkeypatch, edit):

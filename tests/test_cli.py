@@ -55,6 +55,12 @@ def test_normal_rejects_degree_one(capsys):
     assert "isomorphism" in err and "normal bundle is zero" in err
 
 
+@pytest.mark.parametrize("cmd", ["normal", "restrict", "slopes"])
+def test_dimension_below_one_is_refused_by_the_context(capsys, cmd):
+    assert main([cmd, "--n", "0", "--d", "2"]) == 2
+    assert capsys.readouterr().err == "invalid input: dimension n must be >= 1\n"
+
+
 def test_normal_slope_n1_d4(capsys):
     code, payload = _run_json(capsys, ["normal", "--n", "1", "--d", "4"])
     assert code == 0
@@ -383,6 +389,11 @@ def test_verify_reports_a_raising_check_as_failing(capsys, monkeypatch):
     checks = [r for r in verify_mod._CHECKS if r[0] == "dual_identity"]
     monkeypatch.setattr(verify_mod, "_CHECKS", checks + [("broken", broken, (), ())])
     assert _verify_fails_on(capsys, "broken") == "exception: RuntimeError('boom')"
+
+
+def test_verify_corpus_refuses_an_unknown_scope():
+    with pytest.raises(ValueError, match="^unknown scope 'bogus'$"):
+        verify_mod.corpus("bogus")
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -371,6 +372,11 @@ def test_graded_map_from_json_malformed_raises_value_error(blob):
         GradedMap.from_json(blob)
 
 
+def test_graded_map_dumps_round_trip():
+    f = theta_matrix(VeroneseContext(2, 3))
+    assert GradedMap.from_json(json.loads(f.dumps())) == f
+
+
 def test_curve_param_json_round_trip():
     for curve in (standard_line(3), random_line(2, 5), rnc(2, 7)):
         assert CurveParam.from_json(curve.to_json()) == curve
@@ -388,6 +394,11 @@ def test_binary_gcd_refuses_non_binary_forms(nv_f, nv_g):
 def test_binary_gcd_of_two_zero_forms_is_zero():
     g = binary_gcd(_zero(deg=3), _zero(deg=1))
     assert g.is_zero() and (g.num_vars, g.degree) == (2, 0)
+
+
+def test_binary_gcd_of_two_nonzero_constants_is_one():
+    g = binary_gcd(HomPoly.constant(2, 3), HomPoly.constant(2, Fraction(-5, 2)))
+    assert (g.num_vars, g.degree, g.terms) == (2, 0, {(0, 0): 1})
 
 
 def test_binary_gcd_shared_factor():

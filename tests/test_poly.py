@@ -205,6 +205,30 @@ def test_substitute_matches_power_cache_reference():
             for row, pulled_row in zip(pres.entries, pulled.entries):
                 for entry, got in zip(row, pulled_row):
                     _assert_same_form(got, _reference_substitute(entry, curve.forms))
+    # forms in four variables
+    for _ in range(20):
+        nv = rng.next_int(2, 3)
+        e = rng.next_int(0, 2)
+        forms = [_random_form(rng, 4, e) for _ in range(nv)]
+        p = _random_poly(rng, nv, rng.next_int(0, 3))
+        _assert_same_form(p.substitute(forms), _reference_substitute(p, forms))
+    # sparse images of degree >= 10: few terms, their keys far apart
+    z0, z1 = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
+    for p, forms in (
+        (
+            HomPoly.monomial(3, (4, 0, 3)),
+            [
+                HomPoly(4, 2, {(2, 0, 0, 0): 1, (0, 0, 0, 2): -3}),
+                HomPoly.monomial(4, (0, 1, 1, 0)),
+                HomPoly(4, 2, {(0, 0, 1, 1): Fraction(1, 2)}),
+            ],
+        ),
+        (z0.power(5) + z1.power(5) * 2, [HomPoly.monomial(3, (0, 0, 2)), HomPoly.monomial(3, (1, 1, 0), -1)]),
+        (HomPoly.monomial(2, (7, 4)), [HomPoly.monomial(1, (3,), 2), HomPoly.monomial(1, (3,), -1)]),
+    ):
+        got = p.substitute(forms)
+        assert got.degree >= 10 and not got.is_zero()
+        _assert_same_form(got, _reference_substitute(p, forms))
 
 
 def test_render_parse_round_trip():

@@ -1,6 +1,7 @@
 """Pullbacks to P^1: the row terms a pullback is built as, the entries it
 builds from them on first read, and the splitting types read off them."""
 
+import gc
 from fractions import Fraction
 
 from veronese import linalg, p1split
@@ -168,6 +169,44 @@ def test_pullback_entries_match_reference():
             [f.degree for f in row] for row in want.entries
         ]
         assert pulled == want
+
+
+def test_pullback_keeps_no_reference_to_its_source():
+    """A pullback holds its twists and row terms only: no slot refers to the
+    source map, directly or through a tuple, and its entries are built
+    without it after the source is gone."""
+    pres = normal_presentation(VeroneseContext(2, 3))
+    curve = random_line(2, 2024)
+    want = _reference_pullback(pres, curve)
+    pulled = pres.pullback(curve)
+    held = gc.get_referents(pulled)
+    held += [x for r in held if type(r) is tuple for x in gc.get_referents(r)]
+    assert not any(x is pres for x in held)
+    del pres
+    assert pulled.entries == want.entries
+    assert [[f.degree for f in row] for row in pulled.entries] == [
+        [f.degree for f in row] for row in want.entries
+    ]
+
+
+def test_pullback_zero_entry_takes_its_degree_from_the_twists():
+    """A zero entry built with a degree other than t - s pulls back to a
+    zero entry of degree e * (t - s), and one with t < s to degree 0."""
+    z = [HomPoly.variable(3, i) for i in range(3)]
+    m = GradedMap(
+        3,
+        [0, 0, 3],
+        [2, 2],
+        [
+            [HomPoly.zero(3, 5), z[0] * z[1], HomPoly.zero(3, 4)],
+            [z[2] * z[2], HomPoly.zero(3, 0), HomPoly.zero(3, 0)],
+        ],
+    )
+    curve = rnc(2, 0)
+    pulled = m.pullback(curve)
+    assert [[f.degree for f in row] for row in pulled.entries] == [[4, 4, 0], [4, 4, 0]]
+    assert pulled.entry(0, 0).is_zero() and pulled.entry(1, 1).is_zero()
+    assert pulled.entry(0, 1) == (z[0] * z[1]).substitute(curve.forms)
 
 
 def test_splitting_type_same_on_row_terms_and_entries():
