@@ -61,6 +61,24 @@ class VeroneseContext:
         return comb(self.n + self.d, self.d)
 
 
+def _theta(ctx: VeroneseContext, twist: int) -> GradedMap:
+    """theta tensored with O(twist), written from exponents.
+
+    Entry (row g, column i) is d(Z^g)/dZ_i = g_i Z^(g - e_i), and the zero
+    form of degree d - 1 where g_i = 0.
+    """
+    nv, d = ctx.num_vars, ctx.d
+    zero = HomPoly.zero(nv, d - 1)
+    rows = [
+        [
+            HomPoly(nv, d - 1, {(*g[:i], gi - 1, *g[i + 1 :]): gi}) if gi else zero
+            for i, gi in enumerate(g)
+        ]
+        for g in monomials(nv, d)
+    ]
+    return GradedMap(nv, [twist + 1 - d] * nv, [twist] * len(rows), rows)
+
+
 def theta_matrix(ctx: VeroneseContext) -> GradedMap:
     """The relation matrix of the twisted-down normal bundle.
 
@@ -68,12 +86,7 @@ def theta_matrix(ctx: VeroneseContext) -> GradedMap:
     the normal bundle twisted by O(-d).  Entry (row g, column i) is
     d(Z^g)/dZ_i.
     """
-    nv = ctx.num_vars
-    rows = []
-    for g in monomials(nv, ctx.d):
-        mono = HomPoly.monomial(nv, g)
-        rows.append([mono.differentiate(i) for i in range(nv)])
-    return GradedMap(nv, [1 - ctx.d] * nv, [0] * ctx.sym_dim, rows)
+    return _theta(ctx, 0)
 
 
 def normal_presentation(ctx: VeroneseContext) -> GradedMap:
@@ -83,7 +96,7 @@ def normal_presentation(ctx: VeroneseContext) -> GradedMap:
     copies of O(1) to C(n+d,d) copies of O(d); cokernel rank is
     C(n+d,d) - n - 1.
     """
-    return theta_matrix(ctx).twist(ctx.d)
+    return _theta(ctx, ctx.d)
 
 
 def xi_matrix(ctx: VeroneseContext, i: int) -> GradedMap:

@@ -242,12 +242,16 @@ def h0_direct(pres: GradedMap, m: int) -> int:
 
     dim coker(stratum at m) plus the kernel of the induced map on first
     cohomology, the latter computed by Serre duality as a stratum of the
-    dual at twist -m-2.  Independent of splitting_type's kernel scan.
+    dual at twist -m-2.  Independent of splitting_type's kernel scan.  A
+    stratum with no rows or no columns has rank 0 and is not built.
     """
     if pres.num_vars != 2:
         raise ValueError("h0_direct is specific to the projective line")
-    h0_f0 = sum(max(0, t + m + 1) for t in pres.target_twists)
-    h1_f1 = sum(max(0, -s - m - 1) for s in pres.source_twists)
-    rk_h0 = linalg.rank(*pres.stratum_rows(m))
-    rk_h1 = linalg.rank(*pres.dual().stratum_rows(-m - 2))
+    src, tgt = pres.source_twists, pres.target_twists
+    h0_f0 = sum(max(0, t + m + 1) for t in tgt)
+    h0_f1 = sum(max(0, s + m + 1) for s in src)
+    h1_f0 = sum(max(0, -t - m - 1) for t in tgt)
+    h1_f1 = sum(max(0, -s - m - 1) for s in src)
+    rk_h0 = linalg.rank(*pres.stratum_rows(m)) if h0_f0 and h0_f1 else 0
+    rk_h1 = linalg.rank(*pres.dual().stratum_rows(-m - 2)) if h1_f0 and h1_f1 else 0
     return (h0_f0 - rk_h0) + (h1_f1 - rk_h1)

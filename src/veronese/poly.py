@@ -202,8 +202,8 @@ class HomPoly:
         number of variables; the result has degree e * deg(self).
 
         The terms are summed from one `monomial_images` table and their keys
-        read back into exponent tuples through `images.key`, taken of every
-        monomial of the result degree.
+        read back into exponent tuples by `images.monomial`, so the cost is
+        the number of terms, whatever the result degree.
         """
         if len(forms) != self.num_vars:
             raise ValueError("need one form per variable")
@@ -213,8 +213,7 @@ class HomPoly:
             for k, v in images[g].items():
                 acc[k] = acc.get(k, 0) + c * v
         nv, deg = forms[0].num_vars, forms[0].degree * self.degree
-        mono_of = {images.key(m): m for m in monomials(nv, deg)}
-        return HomPoly(nv, deg, {mono_of[k]: c for k, c in acc.items()})
+        return HomPoly(nv, deg, {images.monomial(k, deg): c for k, c in acc.items()})
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         vals = [exact(x) for x in point]
@@ -246,6 +245,16 @@ class _ImageTable(dict):
     def key(self, mono: Monomial) -> int:
         """The int key of a monomial in the forms' variables."""
         return sum(map(mul, mono, self.weights))
+
+    def monomial(self, key: int, degree: int) -> Monomial:
+        """The monomial of the given degree whose key is `key`, the inverse
+        of `key`: its exponents past the first are the digits of `key` in
+        the weights, and the first follows from the degree."""
+        rest = []
+        for w in self.weights[:0:-1]:
+            a, key = divmod(key, w)
+            rest.append(a)
+        return (degree - sum(rest), *reversed(rest))
 
     def __missing__(self, g: Monomial) -> dict[int, int | Fraction]:
         steps = []  # walk down to a known image, then multiply back up
@@ -303,7 +312,8 @@ def monomial_images(forms: Sequence[HomPoly], top: int) -> _ImageTable:
 # "+", a "+" before "-", spaces after a sign, a second "-" on a coefficient, unit and
 # zero coefficients and exponents, unreduced fractions, repeated terms and variable
 # factors, and leading zeros in indices and exponents.  Every term ends in a digit, so
-# a "-" after a digit (and any spaces) separates terms; any other "-" is a sign.
+# a "-" after a digit (and any spaces) separates terms; any other "-" is a sign.  An
+# integer coefficient is read by int(); a Fraction is made only for "a/b".
 
 _BINARY_MINUS_RE = re.compile(r"(?<=\d)\s*-", re.ASCII)
 _TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?(Z\d+(?:\^\d+)?(?:\*Z\d+(?:\^\d+)?)*)?$", re.ASCII)
@@ -351,10 +361,16 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse term {chunk!r}")
-        try:
-            coeff = Fraction(m.group(1)) if m.group(1) else 1
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in term {chunk!r}") from None
+        num = m.group(1)
+        if num is None:
+            coeff = 1
+        elif "/" not in num:
+            coeff = int(num)
+        else:
+            try:
+                coeff = Fraction(num)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term {chunk!r}") from None
         exps = [0] * num_vars
         if m.group(2):
             for factor in m.group(2).split("*"):

@@ -93,6 +93,21 @@ def test_normal_presentation_conic_cokernel():
     assert splitting_type(pres).degrees == (4,)
 
 
+def test_theta_entries_are_the_partial_derivatives():
+    for n in range(1, 5):
+        for d in range(2, 6):
+            ctx = VeroneseContext(n, d)
+            nv = ctx.num_vars
+            th = theta_matrix(ctx)
+            want = [
+                [HomPoly.monomial(nv, g).differentiate(i) for i in range(nv)]
+                for g in monomials(nv, d)
+            ]
+            assert [list(row) for row in th.entries] == want
+            assert all(e.degree == d - 1 for row in th.entries for e in row)
+            assert normal_presentation(ctx) == th.twist(d)
+
+
 def test_xi_n1_first_step():
     ctx = VeroneseContext(1, 2)
     xi1 = xi_matrix(ctx, 1)

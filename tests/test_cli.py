@@ -130,6 +130,22 @@ def test_restrict_curve_file_with_unspaced_minus(tmp_path, capsys):
     assert payload["samples"][0]["splitting"]["degrees"] == [6, 6, 6]
 
 
+def test_restrict_curve_file_with_a_fraction_coefficient(tmp_path, capsys):
+    """A twisted cubic with one coefficient 1/2, the parser's Fraction
+    branch: it is projectively the integer one, so the types agree."""
+    degrees = []
+    for first in ("Z0^3", "1/2*Z0^3"):
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps({"degree": 3, "forms": [first, "Z0^2*Z1", "Z0*Z1^2", "Z1^3"]}))
+        code, payload = _run_json(
+            capsys,
+            ["restrict", "--n", "3", "--d", "3", "--curve", "file", "--path", str(path)],
+        )
+        assert code == 0
+        degrees.append(payload["samples"][0]["splitting"]["degrees"])
+    assert degrees[0] == degrees[1] == [11] * 8 + [10] * 8
+
+
 def test_restrict_bad_curve_file_exit_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

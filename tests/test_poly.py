@@ -229,6 +229,33 @@ def test_substitute_matches_power_cache_reference():
         got = p.substitute(forms)
         assert got.degree >= 10 and not got.is_zero()
         _assert_same_form(got, _reference_substitute(p, forms))
+    # one term of degree 120 in 4 variables: decoded from its key alone,
+    # without listing the monomials of that degree
+    p = HomPoly.monomial(4, (60, 0, 0, 0))
+    forms = [HomPoly.monomial(4, [2 * (j == i) for j in range(4)]) for i in range(4)]
+    before = monomials.cache_info()
+    got = p.substitute(forms)
+    assert monomials.cache_info() == before
+    _assert_same_form(got, HomPoly.monomial(4, (120, 0, 0, 0)))
+    _assert_same_form(got, _reference_substitute(p, forms))
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("3*Z0 - 2*Z1", {(1, 0): 3, (0, 1): -2}),
+        ("1/2*Z0", {(1, 0): Fraction(1, 2)}),
+        ("4/2*Z0", {(1, 0): 2}),
+        ("007*Z0", {(1, 0): 7}),
+        ("-0*Z0", {}),
+    ],
+)
+def test_parse_coefficient_types(text, terms):
+    """Integers are read as ints, and a Fraction is kept only where a
+    quotient is not integral."""
+    p = parse_poly(text, 2, 1)
+    assert p.terms == terms
+    assert [type(c) for c in p.terms.values()] == [type(c) for c in terms.values()]
 
 
 def test_render_parse_round_trip():
