@@ -55,6 +55,24 @@ and stops without building stratum m.  For a locally free cokernel this
 fires at m = max(b) at the latest, so the last and largest stratum of
 every scan is skipped.  With torsion the equality never holds, and the
 scan runs as before to its torsion diagnosis.
+
+Balanced start.  The kernel module sits in a free module, so it is
+torsion-free and multiplication by s embeds its degree m-1 part in its
+degree m part: K(m-1) <= K(m).  K = 0 at a twist thus means no generator
+at or below it.  The degrees of the kernel module sum to at most
+want = sum(t) - sum(s), so min(b) <= a = floor(want / rank) and K(a) > 0;
+for the nearly balanced types of general curves every generator lies
+close to a.  So when a-1 > min(t) the scan first ranks the full stratum
+at a-1 (every column at a-2 shifted, plus the new columns), and, if that
+one has kernel, the full stratum at a-2.  Every general type computed so
+far spans at most three consecutive degrees, so two probes suffice for
+them, and the cap bounds the cost for special curves; correctness rests
+on monotonicity alone.  The ascending scan starts at the highest probe
+with K = 0, or at min(t) if neither has K = 0, and at a probed twist it
+takes the probe's pivot columns as its basis instead of ranking again; so
+a scan ranks at most two strata more than before, and every K it reads is
+the K of the scan from min(t).  A surjective probe at m >= max(s) proves
+injectivity as any scan stratum does.
 """
 
 from __future__ import annotations
@@ -179,6 +197,12 @@ def splitting_type(pres: GradedMap) -> SplittingType:
     min(t) <= b <= sum(t) - sum(s) - (rank-1)*min(t); the scan stops as
     soon as rank-many generators are found, or when the degree sum left
     over admits only generators of the current degree (degree-sum stop).
+
+    Balanced start: K is monotone and K(a) > 0 for the average degree
+    a = floor((sum(t) - sum(s)) / rank), so when a-1 > min(t) the full
+    strata at a-1 and, if it has kernel, at a-2 are ranked first; the scan
+    starts at the highest of them with K = 0 (else at min(t)) and reuses
+    their bases, so it ranks at most two strata more than from min(t).
     """
     if pres.num_vars != 2:
         raise ValueError("splitting types live on the projective line")
@@ -199,11 +223,24 @@ def splitting_type(pres: GradedMap) -> SplittingType:
     row_terms = pres.row_terms()
     lo, top = min(tgt), max(src)
     hi = want - (rank - 1) * lo
+    # balanced start: K is monotone, so K = 0 at a probe means no generator
+    # at or below it; a probe ranks the full stratum, every column at m - 1
+    # serving as the basis
+    probes: dict[int, list[tuple[int, int]]] = {}
+    start = lo
+    a = want // rank
+    for m in (a - 1, a - 2) if a - 1 > lo else ():
+        every = [(i, b) for i, t in enumerate(tgt) for b in range(m - t)]
+        new = [i for i, t in enumerate(tgt) if t == m]
+        probes[m] = _image_basis(row_terms, src, every, new, m)
+        if len(probes[m]) == sum(max(0, m - t + 1) for t in tgt):
+            start = m
+            break
     basis: list[tuple[int, int]] = []  # columns spanning the image at m - 1
     surjective = False  # the image is all of H0(F1^v(m)) at some m >= max(s)
     degrees: list[int] = []
-    k1 = k2 = 0  # K(m-1), K(m-2); K vanishes below lo
-    for m in range(lo, hi + 1):
+    k1 = k2 = 0  # K(m-1), K(m-2); K vanishes below start
+    for m in range(start, hi + 1):
         # degrees holds every generator of degree < m; the other k have
         # degree >= m and sum to want - sum(degrees) - torsion length, so
         # equality with m * k forces no torsion and all k of degree m
@@ -213,8 +250,11 @@ def splitting_type(pres: GradedMap) -> SplittingType:
             break
         n_rows = sum(max(0, m - s + 1) for s in src)
         if not surjective:
-            new = [i for i, t in enumerate(tgt) if t == m]
-            basis = _image_basis(row_terms, src, basis, new, m)
+            if m in probes:
+                basis = probes[m]
+            else:
+                new = [i for i, t in enumerate(tgt) if t == m]
+                basis = _image_basis(row_terms, src, basis, new, m)
             surjective = len(basis) == n_rows and m >= top
         # once surjective, the image stays all of H0(F1^v(m))
         k0 = sum(max(0, m - t + 1) for t in tgt) - (n_rows if surjective else len(basis))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -51,7 +52,7 @@ def monomial_index(num_vars: int, degree: int) -> dict[Monomial, int]:
 
 def section_dim(num_vars: int, degree: int) -> int:
     """Dimension of the space of forms of the given degree (0 if negative)."""
-    return len(monomials(num_vars, degree)) if degree >= 0 else 0
+    return comb(num_vars - 1 + degree, degree) if degree >= 0 else 0
 
 
 class HomPoly:

@@ -2,7 +2,7 @@ import pytest
 
 from veronese.bundles import VeroneseContext, normal_presentation
 from veronese.curves import random_line, rnc, standard_line
-from veronese.gradedmap import CurveParam, GradedMap
+from veronese.gradedmap import BasePointError, CurveParam, GradedMap
 from veronese import linalg, p1split
 from veronese.linalg import PRIME, rank as rank_of
 from veronese.p1split import (
@@ -261,26 +261,38 @@ def _outcome(fn, pres):
         return type(exc), str(exc)
 
 
+def _probes_below_average(pres: GradedMap) -> bool:
+    """Whether the scan probes for a balanced start: a - 1 > min(t), with
+    a = floor((sum(t) - sum(s)) / rank)."""
+    p, q = pres.shape
+    want = sum(pres.target_twists) - sum(pres.source_twists)
+    return p > q > 0 and want // (p - q) - 1 > min(pres.target_twists)
+
+
 def test_degree_sum_stop_matches_full_scan():
     rng = SplitMix64(42)
     kinds = set()
+    probed = []  # outcome kinds of the presentations that probe
     for _ in range(100):
         pres = _random_binary_presentation(rng)
         got = _outcome(splitting_type, pres)
         assert got == _outcome(_full_scan_splitting_type, pres)
-        kinds.add(got[0] if isinstance(got, tuple) else SplittingType)
+        kind = got[0] if isinstance(got, tuple) else SplittingType
+        kinds.add(kind)
+        if _probes_below_average(pres):
+            probed.append(kind)
     assert kinds == {SplittingType, NotInjectiveError, NotLocallyFreeError}
+    # the non-injective outcome on that path is pinned by
+    # test_surjective_below_max_source_twist_is_no_certificate
+    assert len(probed) > 0 and set(probed) == {SplittingType, NotLocallyFreeError}
     for pres, _ in (_disguised_presentation(SplitMix64(k)) for k in range(20)):
         assert splitting_type(pres) == _full_scan_splitting_type(pres)
 
 
-@pytest.mark.parametrize("n, d, maker", [(2, 6, random_line), (4, 2, rnc)])
-def test_degree_sum_stop_skips_top_stratum(monkeypatch, n, d, maker):
-    """For a locally free cokernel the scan ranks no stratum at twist
-    max(b); the full scan builds it.  A rank call of the scan is mapped to
-    its twist by its row count h0(F1^v(m)), which strictly grows over the
-    scan window."""
-    pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 9))
+def _ranked_twists(monkeypatch, pres: GradedMap) -> tuple[SplittingType, list[int]]:
+    """The splitting type and the twist of every rank call the scan makes.
+    A rank call is mapped to its twist by its row count h0(F1^v(m)), which
+    strictly grows over the scan window."""
     lo = min(pres.target_twists)
     hi = sum(pres.target_twists) - sum(pres.source_twists)
     twist_of = {sum(max(0, m - s + 1) for s in pres.source_twists): m for m in range(lo, hi + 1)}
@@ -294,8 +306,17 @@ def test_degree_sum_stop_skips_top_stratum(monkeypatch, n, d, maker):
 
     monkeypatch.setattr(linalg, "pivot_columns", counting_ranks)
     st = splitting_type(pres)
-    assert ranked and max(ranked) < max(st.degrees)
     monkeypatch.undo()
+    return st, ranked
+
+
+@pytest.mark.parametrize("n, d, maker", [(2, 6, random_line), (4, 2, rnc)])
+def test_degree_sum_stop_skips_top_stratum(monkeypatch, n, d, maker):
+    """For a locally free cokernel the scan ranks no stratum at twist
+    max(b); the full scan builds it."""
+    pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 9))
+    st, ranked = _ranked_twists(monkeypatch, pres)
+    assert ranked and max(ranked) < max(st.degrees)
 
     built = []
     stratum_rows = GradedMap.stratum_rows
@@ -349,17 +370,105 @@ def test_surjective_below_max_source_twist_is_no_certificate():
     and report torsion instead."""
     z1, z6 = HomPoly.zero(2, 1), HomPoly.zero(2, 6)
     pres = GradedMap(2, [0, 5], [1, 1, 6], [[_s(), z1], [_t(), z1], [z6, z1]])
+    assert _probes_below_average(pres)
     with pytest.raises(NotInjectiveError, match="not injective"):
         splitting_type(pres)
     assert _outcome(splitting_type, pres) == _outcome(_full_scan_splitting_type, pres)
 
 
+def _curve_from_rows(e: int, rows: list[list[int]]) -> CurveParam:
+    """The degree-e curve whose form i has coefficient rows[i][k] at s^(e-k) t^k."""
+    return CurveParam(e, tuple(HomPoly(2, e, {(e - k, k): c for k, c in enumerate(row)}) for row in rows))
+
+
+def _general_curve(e: int):
+    """A maker of seeded degree-e curves: forms with coefficients drawn
+    from [-9, 9], redrawn until they have no base point."""
+
+    def make(n: int, seed: int) -> CurveParam:
+        rng = SplitMix64(seed)
+        while True:
+            try:
+                return _curve_from_rows(e, [[rng.next_int(-9, 9) for _ in range(e + 1)] for _ in range(n + 1)])
+            except BasePointError:
+                continue
+
+    return make
+
+
+def _monomial_curve(e: int, *powers: int):
+    """A maker of the curve (s^(e-k) t^k for k in powers); it takes no seed."""
+    forms = tuple(HomPoly.monomial(2, (e - k, k)) for k in powers)
+    return lambda n, seed: CurveParam(e, forms)
+
+
+def _plane_curve_32() -> CurveParam:
+    """The degree-32 plane curve of the CI step "Large restrictions"."""
+    return _curve_from_rows(32, [[((i + 2) * k * k + i + 1) % 19 - 9 for k in range(33)] for i in range(3)])
+
+
 @pytest.mark.parametrize(
-    "n, d, maker", [(5, 4, random_line), (8, 3, random_line), (4, 6, random_line), (4, 4, rnc)]
+    "n, d, maker",
+    [
+        (5, 4, random_line),
+        (8, 3, random_line),
+        (4, 6, random_line),
+        (4, 4, rnc),
+        # general curves with e > n, whose types are (nearly) balanced
+        *(
+            pytest.param(n, d, _general_curve(e), id=f"{n}-{d}-general{e}")
+            for n, d, e in [(2, 3, 6), (2, 3, 8), (3, 3, 5), (2, 4, 6), (4, 2, 6), (3, 2, 8)]
+        ),
+        # special curves, whose types spread over several degrees
+        *(
+            pytest.param(n, d, _monomial_curve(e, *powers), id=f"{n}-{d}-monomial{e}:{','.join(map(str, powers))}")
+            for n, d, e, powers in [
+                (2, 3, 8, (0, 4, 8)),
+                (2, 4, 8, (0, 4, 8)),
+                (2, 3, 9, (0, 3, 9)),
+                (3, 2, 12, (0, 4, 8, 12)),
+            ]
+        ),
+    ],
 )
 def test_image_scan_matches_full_scan_large(n, d, maker):
     pres = normal_presentation(VeroneseContext(n, d)).pullback(maker(n, 7))
     assert splitting_type(pres) == _full_scan_splitting_type(pres)
+
+
+def test_balanced_start_ranks_one_stratum_on_plane_curve(monkeypatch):
+    """The degree-32 plane curve at d = 2 has type 96^3: the probe at
+    a - 1 = 95 has K = 0 and a surjective stratum, and the degree-sum stop
+    then fires at 96, so the scan ranks that one stratum and nothing else."""
+    pres = normal_presentation(VeroneseContext(2, 2)).pullback(_plane_curve_32())
+    st, ranked = _ranked_twists(monkeypatch, pres)
+    assert st.degrees == (96, 96, 96)
+    assert ranked == [95]
+
+
+def test_balanced_start_ranks_down_to_second_probe(monkeypatch):
+    """A general type spanning three degrees a + 1, a, a - 1 has generators
+    at a - 1 but none at a - 2: both probes run, the scan starts at a - 2,
+    reuses both, and ranks nothing below a - 2 and no twist twice."""
+    pres = normal_presentation(VeroneseContext(4, 2)).pullback(_general_curve(6)(4, 7))
+    st, ranked = _ranked_twists(monkeypatch, pres)
+    a = st.degree // st.rank
+    assert (max(st.degrees), min(st.degrees)) == (a + 1, a - 1) == (16, 14)
+    assert ranked[:2] == [a - 1, a - 2]
+    assert min(ranked) == a - 2 > min(pres.target_twists)
+    assert len(ranked) == len(set(ranked))
+
+
+def test_balanced_start_reuses_probes_with_generators(monkeypatch):
+    """(s^8, s^4 t^4, t^8) at d = 4 has generators at both probes, so the
+    scan starts at min(t) and takes a - 1 and a - 2 from the probes: every
+    twist up to the last is ranked exactly once."""
+    pres = normal_presentation(VeroneseContext(2, 4)).pullback(_monomial_curve(8, 0, 4, 8)(2, 0))
+    st, ranked = _ranked_twists(monkeypatch, pres)
+    a = st.degree // st.rank
+    assert min(st.degrees) < a - 2
+    assert ranked[:2] == [a - 1, a - 2]
+    assert sorted(ranked) == list(range(min(pres.target_twists), max(ranked) + 1))
 
 
 def _reparametrized(curve: CurveParam, rng) -> CurveParam:

@@ -6,7 +6,7 @@ import pytest
 
 from veronese.bundles import VeroneseContext, normal_presentation
 from veronese.curves import random_line, rnc
-from veronese.poly import HomPoly, monomials, parse_poly, render_poly
+from veronese.poly import HomPoly, monomials, parse_poly, render_poly, section_dim
 from veronese.prng import SplitMix64
 
 
@@ -105,6 +105,17 @@ def test_monomials_count():
 
 def test_monomials_degree_zero():
     assert monomials(2, 0) == ((0, 0),)
+
+
+def test_section_dim_counts_without_listing():
+    """section_dim is a binomial: it neither lists nor caches monomials."""
+    before = monomials.cache_info()
+    assert section_dim(4, 120) == 302621
+    assert monomials.cache_info() == before
+    assert section_dim(3, -1) == 0
+    for nv in range(1, 5):
+        for deg in range(7):
+            assert section_dim(nv, deg) == len(monomials(nv, deg))
 
 
 def test_monomial_order_golden():
