@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .gradedmap import GradedMap
@@ -89,12 +90,18 @@ def theta_matrix(ctx: VeroneseContext) -> GradedMap:
     return _theta(ctx, 0)
 
 
+@lru_cache(maxsize=64)
 def normal_presentation(ctx: VeroneseContext) -> GradedMap:
     """Presentation with cokernel the normal bundle itself.
 
     Same entries as theta_matrix, twisted so the map runs from (n+1)
     copies of O(1) to C(n+d,d) copies of O(d); cokernel rank is
     C(n+d,d) - n - 1.
+
+    Built once per context and shared: the 64 most recently used maps are
+    kept, so a loop of restrictions builds its presentation once.  The
+    map is tuples of forms that nothing in the package changes in place;
+    a caller must not change the `terms` of its entries either.
     """
     return _theta(ctx, ctx.d)
 

@@ -17,8 +17,12 @@ of ``pivot_columns`` below.
 ``pivot_columns``, and ``rank`` as its length, rest on one forward
 elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed
 into one int of fixed-width fields, one per column.  A step adds a
-multiple of the pivot row to each row below it, without reducing the
-sum: the width is chosen so that no field can carry into the next within
+multiple of the pivot row's fields right of its column to each row below
+it, without reducing the sum.  A row's fields at or left of an eliminated
+column are never read again, so a step multiplies and adds only the
+columns still ahead: it drops the fields left of them from the pivot row
+and from each row it updates, and leaves them stale in the others.  The
+width is chosen so that no field can carry into the next within
 min(rows, cols) updates, and a pivot row is reduced, field-wise, before
 it updates the rows below it (2^45 = 55 mod p, so a reduction is shifts,
 masks and a multiplication by 55, and leaves a row of residues as it is).
@@ -123,14 +127,18 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
     left-kernel vector mod p behind each row that vanished.
 
     Each row is one int of w-bit fields, column 0 in the top one.  A step
-    adds (p - f) times the pivot row to each row below it whose pivot
-    field is nonzero mod p, so fields grow lazily within the bound of
-    `_layout`; a pivot row that updates any row is reduced first, which
-    leaves a row of residues as it is.  The steps are recorded, and only a
-    deficient rank replays them on the row transforms, packed rows that
-    start as the unit vectors.  A vanished row's transform has 1 in its own
-    field, where no pivot row and no other vanished row is nonzero, so these
-    vectors are independent.
+    at column c adds (p - f) times the pivot row's fields right of c to
+    each row below it whose field at c is nonzero mod p, so fields grow
+    lazily within the bound of `_layout`; the pivot row is cut to those
+    fields and reduced first, which leaves residues as they are.  A row's
+    fields at or left of c are never read again: the search reads only
+    columns after c, and the replay only the steps.  So an updated row
+    keeps only the fields right of c, and the others keep theirs stale.
+    The steps are recorded, and only a deficient rank replays them on the
+    row transforms, packed rows that start as the unit vectors.  A
+    vanished row's transform has 1 in its own field, where no pivot row
+    and no other vanished row is nonzero, so these vectors are
+    independent.
     """
     p = PRIME
     rows = len(m)
@@ -170,10 +178,11 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
             if x:
                 if not inv:
                     inv = pow(v, -1, p)
-                    prow = _reduce(work[r - 1], low, high)
+                    ahead = (1 << off) - 1
+                    prow = _reduce(work[r - 1] & ahead, low, high)
                 g = p - x * inv % p
                 if g != p:
-                    work[j] += g * prow
+                    work[j] = (work[j] & ahead) + g * prow
                     ups.append((j, g))
         steps.append((i, ups))
     w, low, high = _layout(k, rows)

@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from veronese import bundles
+from veronese import bundles, cli, verify
 from veronese.bundles import (
     KBundleStats,
     VeroneseContext,
@@ -16,7 +17,7 @@ from veronese.bundles import (
     verify_dual_identity,
     xi_matrix,
 )
-from veronese.curves import random_line, standard_line
+from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import GradedMap
 from veronese.p1split import splitting_type
 from veronese.poly import HomPoly, monomials
@@ -86,6 +87,35 @@ def test_normal_presentation_twists():
     assert pres.target_twists == (2,) * 6
     # cokernel rank C(4,2) - 3
     assert len(pres.target_twists) - len(pres.source_twists) == 3
+
+
+def test_normal_presentation_is_shared_and_never_changed(tmp_path, capsys):
+    """One map per context, and the restrictions that read it, from the
+    command line and from the fast corpus, leave it equal to a fresh one:
+    same twists, same entries with their degrees, and the same row terms
+    along a curve, which is all a restriction reads."""
+    assert normal_presentation(VeroneseContext(3, 3)) is normal_presentation(
+        VeroneseContext(3, 3)
+    )
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"degree": 3, "forms": ["Z0^3", "Z0^2*Z1", "Z0*Z1^2", "Z1^3"]}))
+    for curve in (["line"], ["rnc"], ["file", "--path", str(path)]):
+        argv = ["restrict", "--n", "3", "--d", "3", "--curve", *curve, "--samples", "2"]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    for name, check in verify.corpus("fast"):
+        assert check()[0], name
+    for n in range(1, 6):
+        for d in range(2, 6):
+            ctx = VeroneseContext(n, d)
+            shared, fresh = normal_presentation(ctx), bundles._theta(ctx, d)
+            assert shared.source_twists == fresh.source_twists
+            assert shared.target_twists == fresh.target_twists
+            assert [[(e.degree, e.terms) for e in row] for row in shared.entries] == [
+                [(e.degree, e.terms) for e in row] for row in fresh.entries
+            ]
+            curve = rnc(n, 1)
+            assert shared.pullback(curve).row_terms() == fresh.pullback(curve).row_terms()
 
 
 def test_normal_presentation_conic_cokernel():

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 import pytest
 
@@ -228,6 +229,29 @@ def test_elimination_matches_fraction_reference():
     assert deficient >= 50 and negative_pivot >= 50
 
 
+def _wide_matrices():
+    """Seeded integer matrices of 40 to 96 columns, square, wide and tall in
+    turn: random entries, and products of random factors through an inner
+    dimension below min(rows, cols), half of each with zero columns
+    planted, so that most pivots have many fields left of them."""
+    rng = SplitMix64(107)
+    for k in range(12):
+        cols = rng.next_int(40, 96)
+        rows = (cols, rng.next_int(20, cols - 1), rng.next_int(cols + 1, cols + 30))[k % 3]
+        if k % 2:
+            inner = rng.next_int(1, min(rows, cols) - 1)
+            a = [[rng.next_int(-6, 6) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.next_int(-6, 6) for _ in range(cols)] for _ in range(inner)]
+            m = [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+        else:
+            m = [[rng.next_int(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if k % 4 >= 2:
+            for c in {rng.next_below(cols) for _ in range(5)}:
+                for row in m:
+                    row[c] = 0
+        yield m, cols
+
+
 def _independent(rows, cols, picked) -> bool:
     sub = [[row[c] for c in picked] for row in rows]
     return len(_reference_rref(sub, len(picked))[1]) == len(picked)
@@ -246,6 +270,15 @@ def test_pivot_columns_form_a_basis():
         assert picked == sorted(set(picked))
         assert len(picked) == len(ref_pivots)
         assert _independent(rows, cols, picked)
+    full = 0
+    for rows, cols in _wide_matrices():
+        picked = linalg.pivot_columns(rows, cols)
+        assert picked == sorted(set(picked))
+        assert len(picked) == len(linalg._echelon(rows, cols)[0])
+        sub = [[row[c] for c in picked] for row in rows]
+        assert len(linalg._echelon(sub, len(picked))[0]) == len(picked)
+        full += len(picked) == min(len(rows), cols)
+    assert 0 < full < 12
     # column 0 vanishes mod PRIME, so the modular pivot is column 1
     assert linalg.pivot_columns([[PRIME, 1]], 2) == [1]
     assert linalg._echelon([[PRIME, 1]], 2)[0] == [0]
@@ -416,16 +449,46 @@ def test_packed_fields_cannot_carry():
         assert [f % p for f in out] == [f % p for f in fields]
 
 
+def _reference_pivots_mod_prime(m, cols):
+    """Gaussian elimination mod PRIME on lists, every entry reduced, each row
+    carrying its transform: the row swaps and updates of the packed pass."""
+    p = PRIME
+    rows = len(m)
+    work = [[x % p for x in row] + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, rows) if work[i][c]), None)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        pivots.append(c)
+        if r + 1 == min(rows, cols):
+            return pivots, []
+        inv = pow(work[r][c], -1, p)
+        for j in range(r + 1, rows):
+            f = work[j][c] * inv % p
+            if f:
+                work[j] = [(a - f * b) % p for a, b in zip(work[j], work[r])]
+    return pivots, [row[cols:] for row in work[len(pivots):]]
+
+
 def test_modular_kernel_vectors():
     """A deficient modular rank comes with one vector per vanished row; each
     is 0 against the rows mod PRIME and has 1 in an entry where the others
-    are 0, so they are independent."""
+    are 0, so they are independent.  The packed pass, whose steps drop
+    the fields left of the pivot, gives the pivots and vectors of the
+    plain elimination, entry for entry."""
     deficient = 0
-    for rows, cols in chain(_oracle_matrices(600), _fallback_matrices(), _scaled_pivot_matrices()):
+    matrices = chain(
+        _oracle_matrices(600), _fallback_matrices(), _scaled_pivot_matrices(), _wide_matrices()
+    )
+    for rows, cols in matrices:
         m = linalg._integer_rows(rows)
         if not m or not cols:
             continue
         pivots, kernel = linalg._pivots_mod_prime(m, cols)
+        assert (pivots, kernel) == _reference_pivots_mod_prime(m, cols)
         if len(pivots) == min(len(m), cols):
             assert kernel == []
             continue
