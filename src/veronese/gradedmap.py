@@ -7,20 +7,21 @@ forms of degree a + m; twists always name the line-bundle summands
 themselves, never shifted duals, so dual() is a pure transpose with both
 twist lists negated.
 
-A pullback to the projective line is built as row terms, not forms: for
-each target summand i, the list of (j, b, c) for the terms c s^a t^b of
-entry (i, j), summed straight from the curve's monomial images (the key
-of s^a t^b in `poly.monomial_images` is b).  `splitting_type` reads only
-these; `entries` builds the forms from them on first read, so anything
-that reads entries (equality, strata, dual, compose, JSON) still sees
-the same map.
+A binary map is also read as row terms: for each target summand i, the
+list of (j, b, c) for the terms c s^a t^b of entry (i, j).  `row_terms()`
+is the one decoder of a binary entry's terms; `splitting_type` and binary
+strata read only its lists.  A pullback is built as row terms, summed
+straight from the curve's monomial images (the key of s^a t^b in
+`poly.monomial_images` is b); `entries` builds its forms on first read,
+so anything else that reads entries (equality, dual, compose, JSON)
+still sees the same map.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from itertools import repeat
+from itertools import accumulate, repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -217,14 +218,18 @@ class GradedMap:
 
     def row_terms(self) -> list[list[tuple[int, int, int | Fraction]]]:
         """The terms of a binary map row by row: (j, b, c) for each term
-        c s^a t^b of entry (i, j), listed in row i.  A pullback returns the
-        lists it was built as; any other map flattens its entries."""
-        if self._row_terms is not None:
-            return self._row_terms
-        return [
-            [(j, b, c) for j, e in enumerate(row) for (_, b), c in e.terms.items()]
-            for row in self._entries
-        ]
+        c s^a t^b of entry (i, j), listed in row i.  A pullback holds the
+        lists it was built as; any other binary map flattens its entries
+        once.  The lists are shared, so callers must not change them.  A
+        map in any other number of variables raises ValueError."""
+        if self._row_terms is None:
+            if self.num_vars != 2:
+                raise ValueError(f"row terms need binary forms, got {self.num_vars} variables")
+            self._row_terms = [
+                [(j, b, c) for j, e in enumerate(row) for (_, b), c in e.terms.items()]
+                for row in self._entries
+            ]
+        return self._row_terms
 
     # -- constructors ----------------------------------------------------------
 
@@ -360,39 +365,32 @@ class GradedMap:
         coefficients gives rows of ints; a Fraction enters only where a
         coefficient is not integral.
 
-        For binary forms the index of (a, b) among the monomials of degree
-        a + b is b, so each block is a Toeplitz band: the term c * s^a t^b
-        of the entry lands at row b + cj of source column cj.
+        A binary map is read from its shared `row_terms()`, never changed
+        here, so a pullback builds no forms.  The index of s^a t^b among the
+        monomials of degree a + b is b, so each block is a Toeplitz band:
+        the term (j, b, c) of row i lands at row b + k of source column k.
         """
         nv = self.num_vars
         src_dims = [section_dim(nv, m + s) for s in self.source_twists]
         tgt_dims = [section_dim(nv, m + t) for t in self.target_twists]
-        n_cols = sum(src_dims)
-        n_rows = sum(tgt_dims)
-        mat = [[0] * n_cols for _ in range(n_rows)]
-        entries = self.entries
-        row_off = 0
-        for i, tdim in enumerate(tgt_dims):
-            if tdim == 0:
-                continue
-            if nv != 2:
-                tgt_index = monomial_index(nv, m + self.target_twists[i])
-            col_off = 0
-            for j, sdim in enumerate(src_dims):
-                entry = entries[i][j]
-                if sdim and not entry.is_zero():
-                    if nv == 2:
-                        for (_, b), c in entry.terms.items():
-                            for cj in range(sdim):
-                                mat[row_off + b + cj][col_off + cj] = c
-                    else:
-                        for cj, mono in enumerate(monomials(nv, m + self.source_twists[j])):
-                            for emono, c in entry.terms.items():
-                                prod = tuple(a + b for a, b in zip(mono, emono))
-                                mat[row_off + tgt_index[prod]][col_off + cj] += c
-                col_off += sdim
-            row_off += tdim
-        return mat, n_cols
+        col_offs = list(accumulate(src_dims, initial=0))
+        row_offs = list(accumulate(tgt_dims, initial=0))
+        mat = [[0] * col_offs[-1] for _ in range(row_offs[-1])]
+        if nv == 2:
+            for row_off, terms in zip(row_offs, self.row_terms()):
+                for j, b, c in terms:
+                    shift = row_off + b - col_offs[j]
+                    for col in range(col_offs[j], col_offs[j + 1]):
+                        mat[shift + col][col] = c
+        else:
+            for t, row_off, row in zip(self.target_twists, row_offs, self.entries):
+                tgt_index = monomial_index(nv, m + t)
+                for j, (s, entry) in enumerate(zip(self.source_twists, row)):
+                    for emono, c in entry.terms.items():
+                        for col, mono in enumerate(monomials(nv, m + s), col_offs[j]):
+                            prod = tuple(map(operator.add, mono, emono))
+                            mat[row_off + tgt_index[prod]][col] = c
+        return mat, col_offs[-1]
 
     def stratum(self, m: int) -> QMatrix:
         """The scalar matrix of `stratum_rows(m)`."""

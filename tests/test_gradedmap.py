@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from veronese.bundles import VeroneseContext, theta_matrix
+from veronese.bundles import (
+    VeroneseContext,
+    euler_presentation,
+    normal_presentation,
+    theta_matrix,
+)
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import (
     BasePointError,
@@ -250,46 +255,63 @@ def _product_stratum_rows(f: GradedMap, m: int) -> list[list]:
 
 
 def test_binary_stratum_rows_match_products():
-    """The Toeplitz fill of binary strata against products of forms, with
-    negative twists, zero entries, Fraction coefficients and empty blocks."""
+    """Strata against products of forms, with negative twists, zero entries,
+    Fraction coefficients and empty blocks: the Toeplitz fill of binary maps
+    and the monomial-index fill of maps in three variables."""
     rng = SplitMix64(23)
-    kinds = set()
-    for _ in range(120):
-        q, p = rng.next_int(1, 3), rng.next_int(1, 4)
-        src = [rng.next_int(-4, 1) for _ in range(q)]
-        tgt = [max(src) + rng.next_int(0, 3) for _ in range(p)]
-        rows = []
-        for t in tgt:
-            row = []
-            for s in src:
-                terms = {}
-                if rng.next_below(4):
-                    for mono in monomials(2, t - s):
-                        c = rng.next_int(-3, 3)
-                        if c and rng.next_below(3) == 0:
-                            c = Fraction(c, rng.next_int(2, 5))
-                        if c:
-                            terms[mono] = c
-                row.append(HomPoly(2, t - s, terms))
-            rows.append(row)
-        f = GradedMap(2, src, tgt, rows)
-        m = rng.next_int(-max(tgt) - 2, 2 - min(src))
-        got, n_cols = f.stratum_rows(m)
-        want = _product_stratum_rows(f, m)
-        assert n_cols == sum(max(0, m + s + 1) for s in src)
-        assert got == want
-        assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
-        if any(e.is_zero() for row in rows for e in row):
-            kinds.add("zero entry")
-        if min(src) < 0:
-            kinds.add("negative twist")
-        if any(type(x) is Fraction for row in got for x in row):
-            kinds.add("fraction")
-        if any(m + s < 0 for s in src) and n_cols:
-            kinds.add("empty block")
-        if not got or not n_cols:
-            kinds.add("empty stratum")
-    assert kinds == {"zero entry", "negative twist", "fraction", "empty block", "empty stratum"}
+    for nv in (2, 3):
+        kinds = set()
+        for _ in range(120):
+            q, p = rng.next_int(1, 3), rng.next_int(1, 4)
+            src = [rng.next_int(-4, 1) for _ in range(q)]
+            tgt = [max(src) + rng.next_int(0, 3) for _ in range(p)]
+            rows = []
+            for t in tgt:
+                row = []
+                for s in src:
+                    terms = {}
+                    if rng.next_below(4):
+                        for mono in monomials(nv, t - s):
+                            c = rng.next_int(-3, 3)
+                            if c and rng.next_below(3) == 0:
+                                c = Fraction(c, rng.next_int(2, 5))
+                            if c:
+                                terms[mono] = c
+                    row.append(HomPoly(nv, t - s, terms))
+                rows.append(row)
+            f = GradedMap(nv, src, tgt, rows)
+            m = rng.next_int(-max(tgt) - 2, 2 - min(src))
+            got, n_cols = f.stratum_rows(m)
+            want = _product_stratum_rows(f, m)
+            assert n_cols == sum(len(monomials(nv, m + s)) for s in src)
+            assert got == want
+            assert [[type(x) for x in row] for row in got] == [
+                [type(x) for x in row] for row in want
+            ]
+            if any(e.is_zero() for row in rows for e in row):
+                kinds.add("zero entry")
+            if min(src) < 0:
+                kinds.add("negative twist")
+            if any(type(x) is Fraction for row in got for x in row):
+                kinds.add("fraction")
+            if any(m + s < 0 for s in src) and n_cols:
+                kinds.add("empty block")
+            if not got or not n_cols:
+                kinds.add("empty stratum")
+        assert kinds == {"zero entry", "negative twist", "fraction", "empty block", "empty stratum"}
+
+
+def test_row_terms_built_once_and_only_for_binary_maps():
+    """A binary map built from entries flattens them into row terms once and
+    returns the same lists on every call; a map in three or more variables
+    has no row terms and says that they need binary forms."""
+    euler = euler_presentation(1)
+    terms = euler.row_terms()
+    assert terms == [[(0, 0, 1)], [(0, 1, 1)]]
+    assert euler.row_terms() is terms
+    for pres in (normal_presentation(VeroneseContext(3, 3)), euler_presentation(2)):
+        with pytest.raises(ValueError, match="row terms need binary forms"):
+            pres.row_terms()
 
 
 def _contraction_stratum(f: GradedMap, m: int) -> QMatrix:

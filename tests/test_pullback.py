@@ -263,6 +263,27 @@ def test_point_test_reads_no_entries(monkeypatch):
             seen += 1
 
 
+def test_pullback_strata_read_no_entries(monkeypatch):
+    """Binary strata are written from the row terms: at every twist from
+    min(t) - 1 to max(t) + 2 a pullback gives the strata of the reference
+    pullback, and it never builds its entries."""
+    reads = []
+    entries = GradedMap.entries
+
+    def reading(self):
+        reads.append(self)
+        return entries.fget(self)
+
+    monkeypatch.setattr(GradedMap, "entries", property(reading))
+    for pres, curve in _grid():
+        pulled = pres.pullback(curve)
+        want = _reference_pullback(pres, curve)
+        t = pulled.target_twists
+        for m in range(min(t) - 1, max(t) + 3):
+            assert pulled.stratum_rows(m) == want.stratum_rows(m)
+        assert not any(r is pulled for r in reads)
+
+
 def test_degree_two_normal_bundle_is_sym_square_of_tangent():
     """For d = 2 the second fundamental form Sym^2 T -> N is an isomorphism,
     so along every rational curve the normal type is the symmetric square
