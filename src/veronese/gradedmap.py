@@ -12,9 +12,10 @@ list of (j, b, c) for the terms c s^a t^b of entry (i, j).  `row_terms()`
 is the one decoder of a binary entry's terms; `splitting_type` and binary
 strata read only its lists.  A pullback is built as row terms, summed
 straight from the curve's monomial images (the key of s^a t^b in
-`poly.monomial_images` is b); `entries` builds its forms on first read,
-so anything else that reads entries (equality, dual, compose, JSON)
-still sees the same map.
+`poly.monomial_images` is b), and the dual of a binary map as its row
+terms transposed; `entries` builds their forms on first read, so
+anything else that reads entries (equality, compose, JSON) still sees
+the same map.
 """
 
 from __future__ import annotations
@@ -233,6 +234,22 @@ class GradedMap:
 
     # -- constructors ----------------------------------------------------------
 
+    @staticmethod
+    def _from_row_terms(
+        source_twists: tuple[int, ...],
+        target_twists: tuple[int, ...],
+        row_terms: list[list[tuple[int, int, int | Fraction]]],
+    ) -> "GradedMap":
+        """A binary map held only as row terms, unchecked; `entries` builds
+        its forms when read."""
+        out = object.__new__(GradedMap)
+        out.num_vars = 2
+        out.source_twists = source_twists
+        out.target_twists = target_twists
+        out._entries = None
+        out._row_terms = row_terms
+        return out
+
     @classmethod
     def identity(cls, num_vars: int, twists: Sequence[int]) -> "GradedMap":
         n = len(twists)
@@ -292,16 +309,24 @@ class GradedMap:
         return GradedMap(self.num_vars, inner.source_twists, self.target_twists, rows)
 
     def dual(self) -> "GradedMap":
-        """Transpose with negated twists: the map between dual twisted frees."""
+        """Transpose with negated twists: the map between dual twisted frees.
+
+        Entry (j, i) of the dual is entry (i, j), of the same degree, so a
+        binary map's dual is its row terms transposed, (i, b, c) in row j
+        for each (j, b, c) in row i; `entries` builds its forms when read.
+        """
+        source = tuple(-t for t in self.target_twists)
+        target = tuple(-s for s in self.source_twists)
+        if self.num_vars == 2:
+            columns: list[list[tuple[int, int, int | Fraction]]] = [[] for _ in target]
+            for i, terms in enumerate(self.row_terms()):
+                for j, b, c in terms:
+                    columns[j].append((i, b, c))
+            return GradedMap._from_row_terms(source, target, columns)
         p, q = self.shape
         entries = self.entries
         rows = [[entries[i][j] for i in range(p)] for j in range(q)]
-        return GradedMap(
-            self.num_vars,
-            tuple(-t for t in self.target_twists),
-            tuple(-s for s in self.source_twists),
-            rows,
-        )
+        return GradedMap(self.num_vars, source, target, rows)
 
     def twist(self, a: int) -> "GradedMap":
         """Tensor with O(a): all twists shift, entries unchanged."""
@@ -347,13 +372,11 @@ class GradedMap:
                         (j, b, c if type(c) is int else exact(c)) for b, c in acc.items() if c
                     ]
             row_terms.append(terms)
-        out = object.__new__(GradedMap)
-        out.num_vars = 2
-        out.source_twists = tuple(e * s for s in self.source_twists)
-        out.target_twists = tuple(e * t for t in self.target_twists)
-        out._entries = None
-        out._row_terms = row_terms
-        return out
+        return GradedMap._from_row_terms(
+            tuple(e * s for s in self.source_twists),
+            tuple(e * t for t in self.target_twists),
+            row_terms,
+        )
 
     def stratum_rows(self, m: int) -> tuple[list[list], int]:
         """Rows and column count of the scalar matrix induced on degree-m sections.

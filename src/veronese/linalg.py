@@ -11,37 +11,52 @@ by exact ranks and kernels, so no floating point ever enters.
 The one exact elimination, ``_echelon``, is a forward fraction-free
 (Bareiss) pass over the rows with their denominators cleared.  It has two
 callers: ``rref``, which finishes it by back-substitution in integers and
-serves ``kernel_basis`` and ``gradedmap.binary_gcd``, and the rank fallback
+serves ``kernel_basis`` and ``gradedmap.binary_gcd``, and the last resort
 of ``pivot_columns`` below.
 
-``pivot_columns``, and ``rank`` as its length, rest on one forward
-elimination modulo the prime ``PRIME = 2^45 - 55``.  Each row is packed
-into one int of fixed-width fields, one per column.  A step adds a
-multiple of the pivot row's fields right of its column to each row below
-it, without reducing the sum.  A row's fields at or left of an eliminated
-column are never read again, so a step multiplies and adds only the
-columns still ahead: it drops the fields left of them from the pivot row
-and from each row it updates, and leaves them stale in the others.  The
-width is chosen so that no field can carry into the next within
-min(rows, cols) updates, and a pivot row is reduced, field-wise, before
-it updates the rows below it (2^45 = 55 mod p, so a reduction is shifts,
-masks and a multiplication by 55, and leaves a row of residues as it is).
+``pivot_columns``, and ``rank`` as its length, rest on forward
+elimination modulo the primes of the fixed table ``PRIMES``: the twelve
+largest primes p = 2^30 - c, c = 35, 41, ..., 257.  Below 2^30 a row
+multiplier is one CPython digit.  Each row is packed into one int of
+fixed-width fields, one per column.  A step adds a multiple of the pivot
+row's fields right of its column to each row below it, without reducing
+the sum.  A row's fields at or left of an eliminated column are never
+read again, so a step multiplies and adds only the columns still ahead:
+it drops the fields left of them from the pivot row and from each row it
+updates, and leaves them stale in the others.  The width w is chosen so
+that no field can carry into the next within min(rows, cols) updates
+(72 bits for up to 2048 updates), and a pivot row is reduced,
+field-wise, before it updates the rows below it.  2^30 = c mod p, so a
+fold round is shifts, masks and a multiplication by c; ``_layout``
+counts the rounds that bring a w-bit field below 2p (two at w = 72,
+three at w = 80), and a row of residues is left as it is.
 
 Reduction mod p can only lose rank, rank_p <= rank_Q, and the modular
 pivot columns have a nonzero minor mod p, so they are independent over
-Q.  A modular rank equal to min(rows, cols) is therefore exact.  A smaller
-one is certified by its own left kernel: the elimination's steps, replayed
-on the row transforms, give one vector mod p per vanished row, with 1 in
-that row's own entry and 0 in every other vanished row's entry, so the
-vectors are independent.  Each is lifted to an integer vector y, its
-entries recovered by rational reconstruction as n / e with |n|, e <=
-isqrt(p // 2), about 2^22, and scaled by a common denominator.  y . A = 0
-mod p by construction; it is 0 over Z when |y| times the largest entry of
-each row, summed, stays below p, and otherwise the product is summed
-exactly.  rows - r independent integer vectors with y . A = 0 give rank_Q
-<= r, so the modular pivots are a basis.  Only when a lift or a product fails does
-``_echelon`` give the exact pivot columns.  Nothing here is probabilistic,
-and no float is used.
+Q.  A modular rank equal to min(rows, cols) is therefore exact; the
+first prime of the table settles it.  A smaller one is certified by its
+own left kernel: the elimination's steps, replayed on the row
+transforms, give one vector mod p per vanished row, with 1 in that row's
+own entry and 0 in every other vanished row's entry, so the vectors are
+independent.  Primes whose pivot columns and vanished rows agree give
+vectors that are combined by CRT modulo M, the product of those primes.
+Each combined vector is lifted to an integer vector y, its entries
+recovered by rational reconstruction as n / e with |n|, e <= isqrt(M //
+2) and e prime to M, and scaled by a common denominator.  y . A = 0 mod
+M by construction; it is 0 over Z when |y| times the largest entry of
+each row, summed, stays below M, and otherwise the product is summed
+exactly.  rows - r independent integer vectors with y . A = 0 give
+rank_Q <= r, so the modular pivots are a basis.
+
+The next prime of the table is eliminated only while a lift or a
+product fails.  A prime with a higher modular rank than the vectors
+held, or the same rank with other pivot columns or other vanished rows,
+restarts the CRT from its own vectors; one with a lower rank is
+skipped.  The table is finite, so this ends: after its last prime,
+``_echelon`` gives the exact pivot columns.  The table suffices when the
+normalized kernel entries, ratios of minors of A, have numerators and
+denominators below 2^179 and no prime of it divides the minors they
+come from.  Nothing here is probabilistic, and no float is used.
 """
 
 from __future__ import annotations
@@ -55,12 +70,12 @@ from typing import Iterable, Sequence
 
 Rat = Fraction
 
-# 2^45 = 55 mod PRIME, so `_reduce` folds the bits of a field above 2^45
-# back in times 55, and rational reconstruction recovers entries up to
-# _LIFT_BOUND = isqrt(PRIME // 2), about 2^22.
-_SPLIT, _FOLD = 45, 55
-PRIME = (1 << _SPLIT) - _FOLD
-_LIFT_BOUND = isqrt(PRIME >> 1)
+# 2^30 = c mod p for each p = 2^30 - c of the table, so `_reduce` folds the
+# bits of a field above 2^30 back in times c.
+_SPLIT = 30
+PRIMES = tuple(
+    (1 << _SPLIT) - c for c in (35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257)
+)
 # Rows of up to this many columns are packed by Horner's rule, which copies
 # the growing int once per field; wider ones by `_row_struct`.
 _HORNER_MAX = 24
@@ -91,40 +106,58 @@ def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
 
 
 @lru_cache(maxsize=256)
-def _layout(k: int, fields: int) -> tuple[int, int, int]:
-    """Field width w and the two masks of `_reduce`, for packed rows of
-    `fields` fields that are updated at most k times.
+def _layout(k: int, fields: int, p: int) -> tuple[int, int, int, int]:
+    """Field width w, the two masks of `_reduce` and its number of fold
+    rounds, for packed rows of `fields` fields mod p = 2^30 - c that are
+    updated at most k times.
 
     A field starts as a residue, below p.  An update adds at most p - 1
     times a field of a reduced row, which is below 2p, so after k updates
     a field is below 2p + 2kp^2 < 2^w, and no field carries into the next.
-    w is a multiple of 8, for `_row_struct`, and is at most 120 for k < 2^29.
+    w is a multiple of 8, for `_row_struct`: 72 for k <= 2^11, 96 for k <
+    2^29.
+
+    A fold round maps a field x to (x mod 2^30) + c (x >> 30), which is
+    x mod p again and, for x <= B, at most B' = 2^30 - 1 + c (B >> 30).
+    The rounds are counted by iterating B' from B = 2^w - 1 until B < 2p;
+    B' < B for every B >= 2p, so the count is finite.  From w bits two
+    rounds give B below 2^30 + c^2 2^(w - 60), which is below 2p = 2^31 -
+    2c exactly when c^2 2^(w - 60) < 2^30 - 2c: at w = 72 for every c <
+    511, so for the whole table, and at w = 80 for no c >= 32, so the
+    table needs three rounds there.
     """
-    p = PRIME
+    c = (1 << _SPLIT) - p
     w = -(-(2 * p + 2 * k * p * p).bit_length() // 8) * 8
+    rounds, top = 0, (1 << w) - 1
+    while top >= 2 * p:
+        top = (1 << _SPLIT) - 1 + c * (top >> _SPLIT)
+        rounds += 1
     ones = ((1 << (fields * w)) - 1) // ((1 << w) - 1)
-    return w, ((1 << _SPLIT) - 1) * ones, ((1 << (w - _SPLIT)) - 1) * ones
+    return w, ((1 << _SPLIT) - 1) * ones, ((1 << (w - _SPLIT)) - 1) * ones, rounds
 
 
 @lru_cache(maxsize=64)
 def _row_struct(w: int, fields: int) -> Struct:
-    """Packs `fields` residues, each below 2^64, big-endian into w-bit fields."""
+    """Packs `fields` values, each below 2^64, big-endian into w-bit fields,
+    and unpacks them from fields below 2^64."""
     return Struct(">" + f"{w // 8 - 8}xQ" * fields)
 
 
-def _reduce(x: int, low: int, high: int) -> int:
-    """x with every field brought below 2p and kept mod p, for fields below
-    2^w, w <= 120.  Each of two rounds adds the bits above 2^45, times 55,
-    to the bits below: after one a field is below 2^45 + 55 * 2^(w - 45) <
-    2^(w - 38), after two below 2^45 + 55 * 2^(w - 83) < 2p."""
-    x = (x & low) + (x >> _SPLIT & high) * _FOLD
-    return (x & low) + (x >> _SPLIT & high) * _FOLD
+def _reduce(x: int, low: int, high: int, fold: int, rounds: int) -> int:
+    """x with every field brought below 2p and kept mod p = 2^30 - fold,
+    for the masks and round count of `_layout`: each round adds the bits
+    of a field above 2^30, times fold, to the bits below."""
+    for _ in range(rounds):
+        x = (x & low) + (x >> _SPLIT & high) * fold
+    return x
 
 
-def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns of integer rows over GF(PRIME) by one forward
-    elimination, and, when they number less than min(rows, cols), the
-    left-kernel vector mod p behind each row that vanished.
+def _pivots_mod_prime(
+    m: list[Sequence[int]], cols: int, p: int
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Pivot columns of integer rows over GF(p) by one forward elimination,
+    and, when they number less than min(rows, cols), the rows that
+    vanished, ascending, with the left-kernel vector mod p behind each.
 
     Each row is one int of w-bit fields, column 0 in the top one.  A step
     at column c adds (p - f) times the pivot row's fields right of c to
@@ -138,12 +171,13 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
     row transforms, packed rows that start as the unit vectors.  A
     vanished row's transform has 1 in its own field, where no pivot row
     and no other vanished row is nonzero, so these vectors are
-    independent.
+    independent.  The replay also follows the swaps, so each vanished row
+    is named by its index in m.
     """
-    p = PRIME
     rows = len(m)
     k = min(rows, cols)
-    w, low, high = _layout(k, cols)
+    fold = (1 << _SPLIT) - p
+    w, low, high, rounds = _layout(k, cols, p)
     fmask = (1 << w) - 1
     if cols > _HORNER_MAX:
         pack = _row_struct(w, cols).pack
@@ -170,7 +204,7 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
         pivots.append(c)
         r += 1
         if r == k:
-            return pivots, []
+            return pivots, [], []
         inv = 0
         ups = []
         for j in range(i + 1, rows):
@@ -179,55 +213,70 @@ def _pivots_mod_prime(m: list[Sequence[int]], cols: int) -> tuple[list[int], lis
                 if not inv:
                     inv = pow(v, -1, p)
                     ahead = (1 << off) - 1
-                    prow = _reduce(work[r - 1] & ahead, low, high)
+                    prow = _reduce(work[r - 1] & ahead, low, high, fold, rounds)
                 g = p - x * inv % p
                 if g != p:
                     work[j] = (work[j] & ahead) + g * prow
                     ups.append((j, g))
         steps.append((i, ups))
-    w, low, high = _layout(k, rows)
-    fmask = (1 << w) - 1
+    w, low, high, rounds = _layout(k, rows, p)
     trans = [1 << (j * w) for j in range(rows)]
+    perm = list(range(rows))
     for s, (i, ups) in enumerate(steps):
         trans[s], trans[i] = trans[i], trans[s]
+        perm[s], perm[i] = perm[i], perm[s]
         if ups:
-            prow = _reduce(trans[s], low, high)
+            prow = _reduce(trans[s], low, high, fold, rounds)
         for j, g in ups:
             trans[j] += g * prow
-    return pivots, [[(t >> (j * w) & fmask) % p for j in range(rows)] for t in trans[r:]]
+    unpack = _row_struct(w, rows).unpack
+    size = rows * w // 8
+    vanished = sorted(range(r, rows), key=perm.__getitem__)
+    kernel = []
+    for s in vanished:
+        fields = unpack(_reduce(trans[s], low, high, fold, rounds).to_bytes(size, "big"))
+        kernel.append([x % p for x in reversed(fields)])
+    return pivots, [perm[s] for s in vanished], kernel
 
 
-def _lift(y: list[int]) -> list[int] | None:
-    """An integer vector congruent mod PRIME to a nonzero multiple of y, or
-    None.
+def _crt(xs: list[list[int]], modulus: int, ys: list[list[int]], p: int) -> list[list[int]]:
+    """The vectors congruent to xs mod `modulus` and to ys mod p, entry for
+    entry, each entry in [0, modulus * p)."""
+    inv = pow(modulus, -1, p)
+    return [[x + modulus * ((y - x) * inv % p) for x, y in zip(u, v)] for u, v in zip(xs, ys)]
 
-    A running denominator d is kept: d * y_i mod p is taken as it is when
-    it lies within _LIFT_BOUND.  Otherwise y_i itself is reconstructed as
-    n / e with |n|, e <= bound, or None is returned; d becomes lcm(d, e),
-    the entries so far are rescaled to match, and n * (d // e) is appended.
-    Every prime factor of d is at most the bound, so below p, and d * y is
-    a nonzero multiple of y mod p.
+
+def _lift(y: list[int], modulus: int) -> list[int] | None:
+    """An integer vector congruent mod `modulus` to d y for some d prime to
+    it, or None.
+
+    A running denominator d is kept: d * y_i mod M is taken as it is when
+    it lies within bound = isqrt(M // 2).  Otherwise y_i itself is
+    reconstructed as n / e with |n|, e <= bound and e prime to M, or None
+    is returned; d becomes lcm(d, e), the entries so far are rescaled to
+    match, and n * (d // e) is appended.  So d stays prime to M, and an
+    entry 1 of y, where every other vector of its kernel is 0, lifts to a
+    nonzero entry.
     """
-    p = PRIME
-    half = p >> 1
-    bound = _LIFT_BOUND
+    half = modulus >> 1
+    bound = isqrt(half)
     out: list[int] = []
     den = 1
     for u in y:
-        v = u * den % p
+        v = u * den % modulus
         if v > half:
-            v -= p
+            v -= modulus
         if -bound <= v <= bound:
             out.append(v)
             continue
-        r0, r1, t0, t1 = p, u, 0, 1
+        r0, r1, t0, t1 = modulus, u, 0, 1
         while r1 > bound:
             q = r0 // r1
             r0, r1 = r1, r0 - q * r1
             t0, t1 = t1, t0 - q * t1
         if t1 < 0:
             r1, t1 = -r1, -t1
-        if t1 > bound:
+        if t1 > bound or gcd(t1, modulus) != 1:
             return None
         grow = t1 // gcd(den, t1)
         if grow > 1:
@@ -237,22 +286,29 @@ def _lift(y: list[int]) -> list[int] | None:
     return out
 
 
-def _kernel_certified(m: list[Sequence[int]], kernel: list[list[int]]) -> bool:
-    """Whether every vector of `kernel` lifts to an integer y with y . m = 0.
+def _kernel_certified(m: list[Sequence[int]], kernel: list[list[int]], modulus: int) -> bool:
+    """Whether every vector of `kernel`, a left kernel of m mod `modulus`,
+    lifts to an integer y with y . m = 0.
 
-    y . m is 0 mod p, since y is a multiple of a left-kernel vector mod p.
-    So it is 0 when sum_i |y_i| max_j |m_ij|, which bounds each of its
-    entries, is below p; otherwise it is summed exactly.
+    Every vector is lifted before any is checked, so a failed lift, the
+    common refusal, costs no product.  y . m is 0 mod M, since y is
+    congruent to a multiple of a left-kernel vector mod M.  So it is 0
+    when sum_i |y_i| max_j |m_ij|, which bounds each of its entries, is
+    below M; otherwise it is summed exactly.
     """
-    sizes = [max(max(row), -min(row)) for row in m]
+    lifted = []
     for y in kernel:
-        v = _lift(y)
+        v = _lift(y, modulus)
         if v is None:
             return False
-        if sum(abs(a) * s for a, s in zip(v, sizes)) >= PRIME and any(
-            sum(map(mul, v, col)) for col in zip(*m)
-        ):
-            return False
+        lifted.append(v)
+    sizes = [max(max(row), -min(row)) for row in m]
+    columns = None
+    for v in lifted:
+        if sum(map(mul, map(abs, v), sizes)) >= modulus:
+            columns = columns or list(zip(*m))
+            if any(sum(map(mul, v, col)) for col in columns):
+                return False
     return True
 
 
@@ -305,19 +361,32 @@ def pivot_columns(rows: Iterable[Sequence], cols: int) -> list[int]:
     """Ascending indices of columns that form a basis of the column space,
     for rows of ints or Fractions.
 
-    The pivot columns mod PRIME are independent over Q, since they have a
-    nonzero minor mod p.  They are returned when they number min(rows,
-    cols), or when the left-kernel vectors of the vanished rows lift to
-    integer vectors that annihilate the rows, which bounds the rank by
-    their number.  Otherwise `_echelon` gives the exact pivot columns.
+    The pivot columns mod a prime of `PRIMES` are independent over Q,
+    since they have a nonzero minor mod p.  They are returned when they
+    number min(rows, cols), or when the left-kernel vectors of the
+    vanished rows, combined by CRT over the primes that agree with them,
+    lift to integer vectors that annihilate the rows, which bounds the
+    rank by their number.  A further prime is eliminated only while that
+    fails; after the last, `_echelon` gives the exact pivot columns.
     """
     m = _integer_rows(rows)
     if not m or not cols:
         return []
-    pivots, kernel = _pivots_mod_prime(m, cols)
-    if kernel and not _kernel_certified(m, kernel):
-        return _echelon(m, cols)[0]
-    return pivots
+    held = None
+    for p in PRIMES:
+        pivots, vanished, kernel = _pivots_mod_prime(m, cols, p)
+        if not vanished:
+            return pivots
+        if held == (pivots, vanished):
+            crt = _crt(crt, modulus, kernel, p)
+            modulus *= p
+        elif held is None or len(pivots) >= len(held[0]):
+            held, crt, modulus = (pivots, vanished), kernel, p
+        else:
+            continue
+        if _kernel_certified(m, crt, modulus):
+            return pivots
+    return _echelon(m, cols)[0]
 
 
 def rank(rows: Iterable[Sequence], cols: int) -> int:

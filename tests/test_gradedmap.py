@@ -17,9 +17,12 @@ from veronese.gradedmap import (
     TwistMismatchError,
     binary_gcd,
 )
+from veronese import linalg
 from veronese.linalg import QMatrix
+from veronese.p1split import h0_direct
 from veronese.poly import HomPoly, monomial_index, monomials
 from veronese.prng import SplitMix64
+from veronese.verify import _random_p1_presentation
 
 
 def _var(i, nv=2):
@@ -139,6 +142,41 @@ def test_dual_one_by_one():
     assert d.entries[0][0] == _var(0)
 
 
+def test_binary_dual_is_built_from_row_terms(monkeypatch):
+    """The dual of a binary map is its row terms transposed, and builds no
+    form: over `_random_p1_presentation` draws, h0_direct and the dual's
+    strata read no map's entries, and the dual's strata are those of the
+    dual built entry by entry; read afterwards, its entries are the
+    transposed entries."""
+    rng = SplitMix64(23)
+    draws = [_random_p1_presentation(rng)[0] for _ in range(40)]
+    reference = [
+        GradedMap(
+            2,
+            tuple(-t for t in pres.target_twists),
+            tuple(-s for s in pres.source_twists),
+            [list(col) for col in zip(*pres.entries)],
+        )
+        for pres in draws
+    ]
+    read = []
+    entries = GradedMap.entries
+    monkeypatch.setattr(GradedMap, "entries", property(lambda f: read.append(f) or entries.fget(f)))
+    duals = []
+    for pres, ref in zip(draws, reference):
+        dual = pres.dual()
+        lo = -max(pres.target_twists) - 2
+        hi = -min(pres.source_twists) + 2
+        for m in range(lo, hi + 1):
+            assert dual.stratum_rows(m) == ref.stratum_rows(m)
+            h0_direct(pres, m)
+        duals.append(dual)
+    assert read == []
+    monkeypatch.undo()
+    assert duals == reference
+    assert [d.dual() for d in duals] == draws
+
+
 def test_dual_of_theta_matches_contraction():
     # entrywise transpose against the one-step contraction for d = 2
     from veronese.bundles import delta_matrix
@@ -175,6 +213,31 @@ def test_pullback_base_point_rejected():
     st = HomPoly.monomial(2, (1, 1))
     with pytest.raises(BasePointError, match="base point"):
         CurveParam(2, (s2, st))
+
+
+def test_high_degree_base_point_refused_without_exact_elimination(monkeypatch):
+    """Three random forms of degree 64 times s + 2t: the Sylvester stratum
+    at twist 129 has in its left kernel the evaluation at (2 : -1), with
+    entries up to 2^129, far past the lift bound of one prime.  The CRT
+    over the table certifies its deficient rank, so the curve is refused
+    with no exact elimination."""
+    calls = []
+    echelon = linalg._echelon
+
+    def spy(m, cols):
+        calls.append(cols)
+        return echelon(m, cols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    rng = SplitMix64(17)
+    factor = HomPoly(2, 1, {(1, 0): 1, (0, 1): 2})
+    e = 64
+    forms = [
+        HomPoly(2, e, {(e - k, k): rng.next_int(-9, 9) for k in range(e + 1)}) for _ in range(3)
+    ]
+    with pytest.raises(BasePointError, match="^parametrization has base point$"):
+        CurveParam(e + 1, tuple(factor * f for f in forms))
+    assert calls == []
 
 
 def test_pullback_commutes_with_compose():

@@ -1,13 +1,18 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from math import isqrt, prod
 from operator import mul
 
 import pytest
 
 from veronese import linalg
-from veronese.linalg import PRIME, QMatrix, RowSpan, rank
+from veronese.linalg import PRIMES, QMatrix, RowSpan, rank
 from veronese.prng import SplitMix64
+
+# The prime of every elimination, and the modulus of a CRT over the whole table.
+PRIME = PRIMES[0]
+TABLE = prod(PRIMES)
 
 
 def _bitsize(x: Fraction) -> int:
@@ -307,25 +312,25 @@ def test_rowspan_agrees_with_rank():
 
 
 def _fallback_matrices():
-    """Matrices whose rank mod PRIME is below min(rows, cols), so that
-    linalg.rank must fall back to the exact elimination: entries that are
-    multiples of PRIME, a determinant PRIME, a denominator PRIME, and
-    rank-deficient products whose first factor has a column of multiples
-    of PRIME."""
-    yield [[PRIME]], 1
-    yield [[1, 1], [1, 1 + PRIME]], 2
-    yield [[Fraction(1, PRIME), 1], [1, PRIME]], 2
+    """Matrices whose rank mod every prime of the table is below min(rows,
+    cols), so that linalg.rank must fall back to the exact elimination:
+    entries that are multiples of TABLE, the product of the primes, a
+    determinant TABLE, a denominator TABLE, and rank-deficient products
+    whose first factor has a column of multiples of TABLE."""
+    yield [[TABLE]], 1
+    yield [[1, 1], [1, 1 + TABLE]], 2
+    yield [[Fraction(1, TABLE), 1], [1, TABLE]], 2
     rng = SplitMix64(61)
     for k in range(60):
         rows, cols = rng.next_int(2, 7), rng.next_int(2, 7)
         if k % 2 == 0:
-            yield [[PRIME * rng.next_int(-6, 6) for _ in range(cols)] for _ in range(rows)], cols
+            yield [[TABLE * rng.next_int(-6, 6) for _ in range(cols)] for _ in range(rows)], cols
             continue
         inner = rng.next_int(1, min(rows, cols) - 1)
         a = [[_random_entry(rng, False) for _ in range(inner)] for _ in range(rows)]
         b = [[_random_entry(rng, False) for _ in range(cols)] for _ in range(inner)]
         for row in a:
-            row[0] *= PRIME
+            row[0] *= TABLE
         yield [
             [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
             for i in range(rows)
@@ -381,24 +386,27 @@ def test_rank_exact_when_modular_rank_drops():
         _, ref_pivots = _reference_rref(rows, cols)
         assert rank(rows, cols) == len(ref_pivots)
         assert QMatrix(rows, cols=cols).rank() == len(ref_pivots)
-        rank_p = len(linalg._pivots_mod_prime(linalg._integer_rows(rows), cols)[0])
+        m = linalg._integer_rows(rows)
+        rank_p = max(len(linalg._pivots_mod_prime(m, cols, p)[0]) for p in PRIMES)
         assert rank_p < min(len(rows), cols)
         dropped += rank_p < len(ref_pivots)
-    assert rank([[PRIME]], 1) == 1
+    assert rank([[PRIME]], 1) == rank([[TABLE]], 1) == 1
     # the modular rank is strictly below the exact one on most of them
     assert dropped >= 40
 
 
 def _spy(monkeypatch) -> Counter:
-    """Counts of left-kernel certificates accepted and refused, and of
-    fraction-free fallbacks, in calls of linalg.rank."""
+    """Counts of left-kernel certificates accepted and refused, of those
+    refused with the table's last prime in their modulus ("exhausted"),
+    and of fraction-free fallbacks, in calls of linalg.rank."""
     counts = Counter()
     certified = linalg._kernel_certified
     fraction_free = linalg._echelon
 
-    def spy_certified(m, kernel):
-        ok = certified(m, kernel)
+    def spy_certified(m, kernel, modulus):
+        ok = certified(m, kernel, modulus)
         counts["certified" if ok else "refused"] += 1
+        counts["exhausted"] += not ok and modulus % PRIMES[-1] == 0
         return ok
 
     def spy_fraction_free(m, cols):
@@ -410,10 +418,10 @@ def _spy(monkeypatch) -> Counter:
     return counts
 
 
-def test_prime_is_prime():
+def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: these twelve bases decide every n below
     3.3 * 10^24."""
-    n, d, s = PRIME, PRIME - 1, 0
+    d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -425,36 +433,55 @@ def test_prime_is_prime():
             if x == n - 1:
                 break
         else:
-            pytest.fail(f"{a} witnesses that PRIME is composite")
+            return False
+    return True
+
+
+def test_prime_is_prime():
+    """Every entry of the table is prime, and the table is the twelve
+    largest primes below 2^30, in descending order."""
+    for p in PRIMES:
+        assert _is_prime(p), f"{p} is composite"
+    below = [p for p in range(2**30 - 1, PRIMES[-1] - 1, -1) if _is_prime(p)]
+    assert list(PRIMES) == below and len(PRIMES) == 12
 
 
 def test_packed_fields_cannot_carry():
-    """After k updates a field is below p + k (p - 1)(2p - 1), which the
-    width of `_layout` holds; `_reduce` keeps every field mod p and brings
-    it below 2p, also from the largest field the width holds."""
-    p = PRIME
-    for k in range(1, 400):
-        w, _, _ = linalg._layout(k, 1)
-        assert p + k * (p - 1) * (2 * p - 1) < 1 << w
-        assert w % 8 == 0
-    assert linalg._layout(2**29 - 1, 1)[0] <= 120
-    for k in (1, 40, 2**29 - 1):
-        w, low, high = linalg._layout(k, 5)
-        fields = [(1 << w) - 1, p, 2 * p - 1, (1 << w) // 3, 0]
-        x = sum(f << (w * i) for i, f in enumerate(fields))
-        y = linalg._reduce(x, low, high)
-        out = [(y >> (w * i)) & ((1 << w) - 1) for i in range(5)]
-        assert y >> (5 * w) == 0
-        assert all(f < 2 * p for f in out)
-        assert [f % p for f in out] == [f % p for f in fields]
+    """For every prime of the table: after k updates a field is below
+    p + k (p - 1)(2p - 1), which the width of `_layout` holds; `_reduce`
+    keeps every field mod p and brings it below 2p, also from the largest
+    field the width holds, and one round fewer does not."""
+    for p in PRIMES:
+        fold = 2**30 - p
+        for k in range(1, 400):
+            w, _, _, _ = linalg._layout(k, 1, p)
+            assert p + k * (p - 1) * (2 * p - 1) < 1 << w
+            assert w % 8 == 0
+        assert linalg._layout(56, 1, p)[0] == linalg._layout(2**11, 1, p)[0] == 72
+        assert linalg._layout(2**11 + 1, 1, p)[0] == 80
+        assert linalg._layout(2**29 - 1, 1, p)[0] <= 96
+        for k in (1, 40, 2**11, 2**11 + 1, 2**19, 2**29 - 1):
+            w, low, high, rounds = linalg._layout(k, 5, p)
+            assert rounds == {64: 2, 72: 2, 80: 3}.get(w, rounds)
+            fields = [(1 << w) - 1, p, 2 * p - 1, (1 << w) // 3, 0]
+            x = sum(f << (w * i) for i, f in enumerate(fields))
+            y = linalg._reduce(x, low, high, fold, rounds)
+            out = [(y >> (w * i)) & ((1 << w) - 1) for i in range(5)]
+            assert y >> (5 * w) == 0
+            assert all(f < 2 * p for f in out)
+            assert [f % p for f in out] == [f % p for f in fields]
+            short = linalg._reduce(x, low, high, fold, rounds - 1) & ((1 << w) - 1)
+            assert short >= 2 * p
 
 
-def _reference_pivots_mod_prime(m, cols):
-    """Gaussian elimination mod PRIME on lists, every entry reduced, each row
-    carrying its transform: the row swaps and updates of the packed pass."""
-    p = PRIME
+def _reference_pivots_mod_prime(m, cols, p):
+    """Gaussian elimination mod p on lists, every entry reduced, each row
+    carrying its transform and its index: the row swaps and updates of
+    the packed pass."""
     rows = len(m)
-    work = [[x % p for x in row] + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    work = [
+        [x % p for x in row] + [int(i == j) for j in range(rows)] + [i] for i, row in enumerate(m)
+    ]
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -464,21 +491,23 @@ def _reference_pivots_mod_prime(m, cols):
         work[r], work[i] = work[i], work[r]
         pivots.append(c)
         if r + 1 == min(rows, cols):
-            return pivots, []
+            return pivots, [], []
         inv = pow(work[r][c], -1, p)
         for j in range(r + 1, rows):
             f = work[j][c] * inv % p
             if f:
-                work[j] = [(a - f * b) % p for a, b in zip(work[j], work[r])]
-    return pivots, [row[cols:] for row in work[len(pivots):]]
+                work[j] = [(a - f * b) % p for a, b in zip(work[j][:-1], work[r])] + work[j][-1:]
+    vanished = sorted(work[len(pivots):], key=lambda row: row[-1])
+    return pivots, [row[-1] for row in vanished], [row[cols:-1] for row in vanished]
 
 
 def test_modular_kernel_vectors():
     """A deficient modular rank comes with one vector per vanished row; each
-    is 0 against the rows mod PRIME and has 1 in an entry where the others
-    are 0, so they are independent.  The packed pass, whose steps drop
-    the fields left of the pivot, gives the pivots and vectors of the
-    plain elimination, entry for entry."""
+    is 0 against the rows mod p, has 1 in its own row's entry and 0 in
+    every other vanished row's, so they are independent.  The packed pass,
+    whose steps drop the fields left of the pivot, gives the pivots,
+    vanished rows and vectors of the plain elimination, entry for entry,
+    for the first and the last prime of the table."""
     deficient = 0
     matrices = chain(
         _oracle_matrices(600), _fallback_matrices(), _scaled_pivot_matrices(), _wide_matrices()
@@ -487,70 +516,81 @@ def test_modular_kernel_vectors():
         m = linalg._integer_rows(rows)
         if not m or not cols:
             continue
-        pivots, kernel = linalg._pivots_mod_prime(m, cols)
-        assert (pivots, kernel) == _reference_pivots_mod_prime(m, cols)
-        if len(pivots) == min(len(m), cols):
-            assert kernel == []
-            continue
-        deficient += 1
-        assert len(kernel) == len(m) - len(pivots)
-        for y in kernel:
-            assert all(sum(a * b for a, b in zip(y, col)) % PRIME == 0 for col in zip(*m))
-            others = [z for z in kernel if z is not y]
-            assert any(a == 1 and all(z[j] == 0 for z in others) for j, a in enumerate(y))
-    assert deficient >= 200
+        for p in (PRIMES[0], PRIMES[-1]):
+            pivots, vanished, kernel = linalg._pivots_mod_prime(m, cols, p)
+            assert (pivots, vanished, kernel) == _reference_pivots_mod_prime(m, cols, p)
+            if len(pivots) == min(len(m), cols):
+                assert vanished == kernel == []
+                continue
+            deficient += 1
+            assert len(kernel) == len(vanished) == len(m) - len(pivots)
+            assert vanished == sorted(set(vanished))
+            for i, y in zip(vanished, kernel):
+                assert all(sum(a * b for a, b in zip(y, col)) % p == 0 for col in zip(*m))
+                assert [y[j] for j in vanished] == [int(j == i) for j in vanished]
+    assert deficient >= 400
 
 
 def test_certificate_and_fallback_both_run(monkeypatch):
     """Over the oracle, fallback and scaled matrices, deficient modular
     ranks are certified by their left kernels, and the fraction-free
-    elimination runs exactly when a certificate is refused."""
+    elimination runs exactly when the certificate is refused with the
+    table's last prime."""
     counts = _spy(monkeypatch)
     matrices = chain(_oracle_matrices(600), _fallback_matrices(), _scaled_pivot_matrices())
     for rows, cols in matrices:
         assert rank(rows, cols) == len(_reference_rref(rows, cols)[1])
-    assert counts["bareiss"] == counts["refused"]
-    assert counts["certified"] >= 150 and counts["refused"] >= 50
+    assert counts["bareiss"] == counts["exhausted"]
+    assert counts["certified"] >= 150 and counts["exhausted"] >= 50
 
 
 def test_lift_zero_mod_prime_is_refused(monkeypatch):
-    """The vanished row lifts to (-1, 1), which is 0 mod PRIME against the
-    rows but not over Z, so the rank stays 2."""
+    """The vanished row lifts to (-1, 1) with every prime of the table,
+    which is 0 mod TABLE against the rows but not over Z, so the rank
+    stays 2."""
     counts = _spy(monkeypatch)
-    m = [[1, 1], [1, 1 + PRIME]]
-    pivots, kernel = linalg._pivots_mod_prime(m, 2)
-    assert pivots == [0]
-    assert [linalg._lift(y) for y in kernel] == [[-1, 1]]
+    m = [[1, 1], [1, 1 + TABLE]]
+    for p in PRIMES:
+        pivots, vanished, kernel = linalg._pivots_mod_prime(m, 2, p)
+        assert (pivots, vanished) == ([0], [1])
+        assert [linalg._lift(y, p) for y in kernel] == [[-1, 1]]
     assert rank(m, 2) == 2
-    assert counts == Counter(refused=1, bareiss=1)
+    assert counts == Counter(refused=len(PRIMES), exhausted=1, bareiss=1)
 
 
 def test_lift_beyond_bound_falls_back(monkeypatch):
-    """Rows v and 2^30 v: the primitive left-kernel vector (2^30, -1) has an
-    entry above the lift bound, so the fraction-free elimination decides."""
+    """Rows v and 2^180 v: the primitive left-kernel vector (2^180, -1) has
+    an entry above the lift bound of the whole table, so the fraction-free
+    elimination decides."""
     counts = _spy(monkeypatch)
     v = [3, -1, 4, 1, 5, -9]
-    m = [v, [2**30 * x for x in v]]
-    assert 2**30 > linalg._LIFT_BOUND
+    m = [v, [2**180 * x for x in v]]
+    assert 2**180 > isqrt(TABLE // 2)
     assert linalg.pivot_columns(m, 6) == [0]
-    assert counts == Counter(refused=1, bareiss=1)
+    assert counts == Counter(refused=len(PRIMES), exhausted=1, bareiss=1)
 
 
 def test_lift_reconstructs_each_entry(monkeypatch):
     """Rows b u, e w and -(x u + z w) for primes b, e near 10^6: the
-    primitive left-kernel vector (x e, z b, b e) has an entry far above the
-    lift bound, but each entry of the modular one, (x / b, z / e, 1), is a
-    fraction within it, so one prime certifies the rank and the
-    fraction-free elimination does not run."""
+    primitive left-kernel vector (x e, z b, b e) has 40-bit entries, far
+    above the lift bound of two primes, but each entry of the modular
+    one, (x / b, z / e, 1), is a fraction within it.  Its denominators are
+    above the bound of the first prime alone, so that prime is refused,
+    the CRT over the first two certifies the rank, and the fraction-free
+    elimination does not run."""
     counts = _spy(monkeypatch)
     b, e, x, z = 1000003, 999983, 3, 5
     u, w = (1, 2, 0, 1), (0, 1, 3, 1)
     m = [[b * a for a in u], [e * a for a in w], [-(x * a + z * c) for a, c in zip(u, w)]]
-    pivots, kernel = linalg._pivots_mod_prime(m, 4)
-    assert pivots == [0, 1]
-    assert [linalg._lift(y) for y in kernel] == [[x * e, z * b, b * e]]
+    p, q = PRIMES[:2]
+    assert isqrt(p // 2) < b < isqrt(p * q // 2) < b * e
+    (pivots, vanished, kp), (_, _, kq) = (linalg._pivots_mod_prime(m, 4, r) for r in (p, q))
+    assert (pivots, vanished) == ([0, 1], [2])
+    assert [linalg._lift(y, p) for y in kp] == [None]
+    crt = linalg._crt(kp, p, kq, q)
+    assert [linalg._lift(y, p * q) for y in crt] == [[x * e, z * b, b * e]]
     assert rank(m, 4) == 2
-    assert counts == Counter(certified=1)
+    assert counts == Counter(refused=1, certified=1)
 
 
 def test_large_entries_certified_by_exact_product(monkeypatch):
@@ -576,13 +616,20 @@ def test_large_entries_certified_by_exact_product(monkeypatch):
 def test_worst_case_residues():
     """Entries PRIME - 1 everywhere and off the diagonal, random residues,
     and rank-deficient products of random residues, on 40x40, 60x20 and
-    20x60 matrices: ranks equal the fraction-free ranks."""
+    20x60 matrices: ranks equal the fraction-free ranks.  Entries p - 1
+    everywhere and off the diagonal also give the ranks mod p for every
+    prime p of the table."""
     rng = SplitMix64(97)
     for rows, cols in ((40, 40), (60, 20), (20, 60)):
         top = [[PRIME - 1] * cols for _ in range(rows)]
         assert rank(top, cols) == 1
         near = [[PRIME - 1 - (i == j) for j in range(cols)] for i in range(rows)]
         assert rank(near, cols) == min(rows, cols)
+        for p in PRIMES:
+            top = [[p - 1] * cols for _ in range(rows)]
+            assert linalg._pivots_mod_prime(top, cols, p)[:2] == ([0], list(range(1, rows)))
+            near = [[p - 1 - (i == j) for j in range(cols)] for i in range(rows)]
+            assert len(linalg._pivots_mod_prime(near, cols, p)[0]) == min(rows, cols)
         full = [[rng.next_below(PRIME) for _ in range(cols)] for _ in range(rows)]
         inner = min(rows, cols) // 2
         a = [[rng.next_below(PRIME) for _ in range(inner)] for _ in range(rows)]
@@ -619,3 +666,96 @@ def test_rank_metamorphic(monkeypatch):
         assert rank(rows + [[x + y for x, y in zip(rows[a], rows[b])]], cols) == want
         appended += counts["certified"] + counts["refused"] > before
     assert appended >= 200
+
+
+def _trail(monkeypatch) -> list:
+    """(modulus, accepted) for each left-kernel certificate asked for, in
+    order, and "bareiss" for each fraction-free fallback."""
+    trail = []
+    certified = linalg._kernel_certified
+    fraction_free = linalg._echelon
+
+    def spy_certified(m, kernel, modulus):
+        ok = certified(m, kernel, modulus)
+        trail.append((modulus, ok))
+        return ok
+
+    def spy_fraction_free(m, cols):
+        trail.append("bareiss")
+        return fraction_free(m, cols)
+
+    monkeypatch.setattr(linalg, "_kernel_certified", spy_certified)
+    monkeypatch.setattr(linalg, "_echelon", spy_fraction_free)
+    return trail
+
+
+@pytest.mark.parametrize("shift, primes", [(20, 2), (40, 3)])
+def test_kernel_lift_adds_primes(monkeypatch, shift, primes):
+    """Rows v, 2^shift v and 3 2^shift v: the left-kernel vectors
+    (-2^shift, 1, 0) and (-3 2^shift, 0, 1) lift once isqrt(M // 2), M the
+    product of the primes so far, passes 3 2^shift, so the CRT adds a
+    prime until then and certifies with `primes` primes."""
+    trail = _trail(monkeypatch)
+    v = [3, -1, 4, 1, 5, -9]
+    m = [v, [2**shift * x for x in v], [3 * 2**shift * x for x in v]]
+    moduli = [prod(PRIMES[:k]) for k in range(1, primes + 1)]
+    assert isqrt(moduli[-2] // 2) < 3 * 2**shift < isqrt(moduli[-1] // 2)
+    assert linalg.pivot_columns(m, 6) == [0]
+    assert trail == [(q, q == moduli[-1]) for q in moduli]
+
+
+def test_next_prime_with_higher_rank_wins(monkeypatch):
+    """The first prime divides a minor.  With a full rank at the second
+    prime the pivots are returned at once; with a higher but deficient
+    rank the CRT restarts from the second prime alone."""
+    trail = _trail(monkeypatch)
+    p, q = PRIMES[:2]
+    assert linalg.pivot_columns([[1, 1], [1, 1 + p]], 2) == [0, 1]
+    assert trail == [(p, False)]
+    trail.clear()
+    m = [[1, 1, 0], [1, 1 + p, 0], [2, 2 + p, 0]]
+    assert linalg._pivots_mod_prime(m, 3, p)[:2] == ([0], [1, 2])
+    assert linalg._pivots_mod_prime(m, 3, q)[:2] == ([0, 1], [2])
+    assert linalg.pivot_columns(m, 3) == [0, 1]
+    assert trail == [(p, False), (q, True)]
+
+
+def test_prime_with_lower_rank_is_skipped(monkeypatch):
+    """The second prime divides a minor, so its rank is lower than the
+    first prime's; it is skipped, and the CRT combines the first prime
+    with the third."""
+    trail = _trail(monkeypatch)
+    p, q, r = PRIMES[:3]
+    m = [[1, 1, 0, 0], [1, 1 + q, 0, 0], [0, 0, 1, 2], [0, 0, 2**20, 2**21]]
+    assert [len(linalg._pivots_mod_prime(m, 4, x)[0]) for x in (p, q, r)] == [3, 2, 3]
+    assert linalg.pivot_columns(m, 4) == [0, 1, 2]
+    assert trail == [(p, False), (p * r, True)]
+
+
+def test_vanished_rows_that_differ_restart(monkeypatch):
+    """Rows p (1, 2), (1, 2) and 3 (1, 2) with p the first prime: mod p the
+    first row vanishes and the second is the pivot row, mod every other
+    prime the first is, so the pivots agree and the vanished rows do not.
+    The CRT restarts from the second prime; the kernel vectors (-1, p, 0)
+    and (-3, 0, p) then lift with the second, third and fourth."""
+    trail = _trail(monkeypatch)
+    p, q, r, s = PRIMES[:4]
+    m = [[p, 2 * p], [1, 2], [3, 6]]
+    assert linalg._pivots_mod_prime(m, 2, p)[:2] == ([0], [0, 2])
+    assert linalg._pivots_mod_prime(m, 2, q)[:2] == ([0], [1, 2])
+    assert linalg.pivot_columns(m, 2) == [0]
+    assert trail == [(p, False), (q, False), (q * r, False), (q * r * s, True)]
+
+
+def test_crt_vectors_that_fail_the_exact_check(monkeypatch):
+    """Rows (1, 1) and (1, 1 + pq) for the first two primes: the CRT vector
+    over both lifts to (-1, 1), which is 0 mod pq against the rows but
+    not over Z, so it is refused, and the third prime's full rank
+    decides."""
+    trail = _trail(monkeypatch)
+    p, q = PRIMES[:2]
+    m = [[1, 1], [1, 1 + p * q]]
+    (_, _, kp), (_, _, kq) = (linalg._pivots_mod_prime(m, 2, x) for x in (p, q))
+    assert [linalg._lift(y, p * q) for y in linalg._crt(kp, p, kq, q)] == [[-1, 1]]
+    assert linalg.pivot_columns(m, 2) == [0, 1]
+    assert trail == [(p, False), (p * q, False)]

@@ -1,10 +1,12 @@
+from math import comb, prod
+
 import pytest
 
 from veronese.bundles import VeroneseContext, normal_presentation
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import BasePointError, CurveParam, GradedMap
 from veronese import linalg, p1split
-from veronese.linalg import PRIME, rank as rank_of
+from veronese.linalg import PRIMES, rank as rank_of
 from veronese.p1split import (
     NotInjectiveError,
     NotLocallyFreeError,
@@ -502,23 +504,47 @@ def _moved(curve: CurveParam, rng) -> CurveParam:
 )
 def test_splitting_type_metamorphic(n, d, maker):
     """The splitting type along a curve is unchanged when every form is
-    multiplied by PRIME (the same map to P^n; every stratum is then 0 mod
-    PRIME, so every rank takes the exact fallback), when the line is
-    reparametrized, and when the curve is moved by an element of GL_{n+1}:
-    lines and rational normal curves are each one orbit, and the normal
-    bundle is homogeneous."""
+    multiplied by the product of the table's primes (the same map to P^n;
+    every stratum is then 0 mod every prime of the table, so every rank
+    takes the exact fallback), when the line is reparametrized, and when
+    the curve is moved by an element of GL_{n+1}: lines and rational
+    normal curves are each one orbit, and the normal bundle is
+    homogeneous."""
     pres = normal_presentation(VeroneseContext(n, d))
     rng = SplitMix64(1000 * n + d)
+    table = prod(PRIMES)
     for seed in (1, 2):
         curve = maker(n, seed)
         want = splitting_type(pres.pullback(curve))
-        scaled = pres.pullback(CurveParam(curve.degree, tuple(f * PRIME for f in curve.forms)))
+        scaled = pres.pullback(CurveParam(curve.degree, tuple(f * table for f in curve.forms)))
         rows, _ = scaled.dual().stratum_rows(max(want.degrees))
         assert any(any(row) for row in rows)
-        assert all(x % PRIME == 0 for row in rows for x in row)
+        assert all(x % table == 0 for row in rows for x in row)
         assert splitting_type(scaled) == want
         assert splitting_type(pres.pullback(_reparametrized(curve, rng))) == want
         assert splitting_type(pres.pullback(_moved(curve, rng))) == want
+
+
+@pytest.mark.parametrize("n, d, seed", [(4, 4, 7), (4, 4, 1), (5, 3, 1), (5, 4, 1)])
+def test_random_rnc_scans_make_no_exact_elimination(monkeypatch, n, d, seed):
+    """The seed-7 (4,4) RNC scan and the random RNCs of the CI's large
+    restrictions (seed 1 at (4,4), (5,3) and (5,4)) have strata whose left
+    kernels need more than one prime; the CRT over the table certifies
+    every one, so `_echelon` never runs.  The type is the closed form of
+    a rational normal curve at d >= 3."""
+    calls = []
+    echelon = linalg._echelon
+
+    def spy(m, cols):
+        calls.append((len(m), cols))
+        return echelon(m, cols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    st = splitting_type(normal_presentation(VeroneseContext(n, d)).pullback(rnc(n, seed)))
+    assert calls == []
+    top, hi, mid = n * d + 2, n * d - 1, (n - 1) * (n * d - n - 2)
+    rest = comb(n + d, d) - n - 1 - hi - mid
+    assert list(st.degrees) == [top] * hi + [top - 1] * mid + [top - 2] * rest
 
 
 # -- h0 profile and direct cohomology --------------------------------------------
