@@ -10,6 +10,7 @@ from .bundles import (
     euler_presentation,
     k_bundle_stats,
     normal_presentation,
+    restriction_type,
     theta_matrix,
     verify_dual_identity,
     xi_matrix,
@@ -75,6 +76,7 @@ __all__ = [
     "random_line",
     "random_ses",
     "render_poly",
+    "restriction_type",
     "rnc",
     "splitting_type",
     "standard_line",

@@ -14,6 +14,20 @@ Conventions, fixed once for the whole package:
   diagonal is constantly (d-1)!.
 * d = 1 is rejected everywhere: that embedding is an isomorphism and the
   normal bundle is zero.
+
+Restrictions (`restriction_type`) go through the smallest exact
+presentation.  At d = 2 the second fundamental form Sym^2 T -> N is an
+isomorphism, so f^*N = Sym^2 f^*T and one column, the Euler map, is
+scanned.  At d >= 3 theta is block-diagonal on a coordinate P^k: with the
+coordinates Z_w, w > k, set to zero, a row g without Z_w keeps the columns
+i <= k, which are theta of P^k; a row h Z_w keeps column w, entry Z^h; every
+other row vanishes.  A curve spanning a P^k is put in coordinates by the
+k + 1 pivot forms of its coefficient rows (N is GL-homogeneous), so
+f^*N_(n,d) = f^*N_(k,d) + (f^*E_1)^(n-k) + O(de)^rest, where E_1 is the
+column of degree-(d-1) monomials, O(1) -> O(d)^C(k+d-1,d-1), and
+rest = C(n+d,d) - C(k+d,d) - (n-k) C(k+d-1,d-1).  The direct scan,
+`splitting_type(normal_presentation(ctx).pullback(curve))`, stays the
+oracle that `verify` runs.
 """
 
 from __future__ import annotations
@@ -24,8 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .gradedmap import GradedMap
-from .linalg import exact
+from .gradedmap import CurveParam, GradedMap
+from .linalg import exact, pivot_columns
+from .p1split import SplittingType, splitting_type
 from .poly import HomPoly, monomial_index, monomials
 
 
@@ -169,6 +184,39 @@ def euler_presentation(n: int) -> GradedMap:
     nv = n + 1
     rows = [[HomPoly.variable(nv, i)] for i in range(nv)]
     return GradedMap(nv, [0], [1] * nv, rows)
+
+
+def _monomial_column(k: int, d: int) -> GradedMap:
+    """E_1 on P^k: O(1) -> O(d)^C(k+d-1,d-1), the column of degree-(d-1) monomials."""
+    nv = k + 1
+    rows = [[HomPoly(nv, d - 1, {g: 1})] for g in monomials(nv, d - 1)]
+    return GradedMap(nv, [1], [d] * len(rows), rows)
+
+
+def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
+    """Splitting type of the normal bundle pulled back along `curve`.
+
+    Equal to `splitting_type(normal_presentation(ctx).pullback(curve))`,
+    from a smaller presentation (module docstring): Sym^2 of the tangent
+    type at d = 2, and at d >= 3 the blocks of theta on the curve's span.
+    """
+    if curve.ambient_vars != ctx.num_vars:
+        raise ValueError(
+            f"curve lives in P^{curve.ambient_vars - 1}, map in P^{ctx.n}"
+        )
+    n, d, e = ctx.n, ctx.d, curve.degree
+    if d == 2:
+        return splitting_type(euler_presentation(n).pullback(curve)).sym_square()
+    coeffs = [[f.terms.get((e - j, j), 0) for f in curve.forms] for j in range(e + 1)]
+    span = pivot_columns(coeffs, n + 1)
+    k = len(span) - 1
+    if k == n:
+        return splitting_type(normal_presentation(ctx).pullback(curve))
+    sub = CurveParam(e, tuple(curve.forms[i] for i in span))
+    inner = splitting_type(normal_presentation(VeroneseContext(k, d)).pullback(sub))
+    e1 = splitting_type(_monomial_column(k, d).pullback(sub))
+    rest = ctx.sym_dim - comb(k + d, d) - (n - k) * comb(k + d - 1, d - 1)
+    return SplittingType(inner.degrees + e1.degrees * (n - k) + (d * e,) * rest)
 
 
 @dataclass(frozen=True)

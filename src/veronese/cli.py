@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import bundles, chow, curves, p1split, verify
+from . import bundles, chow, curves, verify
 from .bundles import VeroneseContext, VeroneseDegreeError
 from .gradedmap import CurveParam
 
@@ -115,12 +115,11 @@ def cmd_restrict(args) -> int:
         return _fail(EXIT_IO, f"cannot load curve: {exc}")
     except ValueError as exc:
         return _fail(EXIT_IO, f"invalid curve: {exc}")
-    pres = bundles.normal_presentation(ctx)
     rows = []
     lines = [f"restriction of the (n={ctx.n}, d={ctx.d}) normal bundle: {curve_info}"]
     seen = set()
     for index, (seed, curve) in enumerate(samples):
-        st = p1split.splitting_type(pres.pullback(curve))
+        st = bundles.restriction_type(ctx, curve)
         rep = chow.gm_check(st, ctx, curve_degree=curve.degree)
         seen.add(st.degrees)
         rows.append(

@@ -13,14 +13,17 @@ from veronese.bundles import (
     euler_presentation,
     k_bundle_stats,
     normal_presentation,
+    restriction_type,
     theta_matrix,
     verify_dual_identity,
     xi_matrix,
 )
 from veronese.curves import random_line, rnc, standard_line
-from veronese.gradedmap import GradedMap
-from veronese.p1split import splitting_type
+from veronese.gradedmap import BasePointError, CurveParam, GradedMap
+from veronese.linalg import rank
+from veronese.p1split import SplittingType, splitting_type
 from veronese.poly import HomPoly, monomials
+from veronese.prng import SplitMix64
 
 
 def test_context_rejects_degree_one():
@@ -399,3 +402,91 @@ def test_euler_consistency():
                 [[HomPoly.monomial(n + 1, g, d)] for g in monomials(n + 1, d)],
             )
             assert comp == want
+
+
+def _curve_in_span(rng, n: int, base: list[list], fractions: bool) -> CurveParam | None:
+    """The curve whose n+1 forms are random combinations of the base forms'
+    coefficient rows, all nonzero, so that for n > k it sits in a P^k that
+    no coordinate subspace is; None if the combinations lose rank or the
+    curve has a base point."""
+    k, e = len(base) - 1, len(base[0]) - 1
+
+    def draw():
+        x = rng.next_int(-3, 3)
+        return Fraction(x, rng.next_int(1, 3)) if fractions else x
+
+    mix = [[draw() for _ in range(k + 1)] for _ in range(n + 1)]
+    if not all(any(row) for row in mix) or rank(mix, k + 1) < k + 1:
+        return None
+    rows = [[sum(m * b[j] for m, b in zip(row, base)) for j in range(e + 1)] for row in mix]
+    forms = tuple(HomPoly(2, e, {(e - j, j): c for j, c in enumerate(r)}) for r in rows)
+    try:
+        return CurveParam(e, forms)
+    except BasePointError:
+        return None
+
+
+def _span_grid():
+    """(ctx, curve) over (k, e) in (1, 1..2), (2, 2..5), (3, 3..5), n = k..k+3,
+    d = 2..4 with C(n+d, d) <= 400, two curves each, one in three at d <= 3
+    with Fraction coefficients; (1, 2) is a double cover of a line and (2, 4) at
+    n = 4 a plane quartic in P^4.  Then the cuspidal cubic (s^3, s t^2, t^3)
+    in P^2 and spread over P^3..P^5."""
+    rng = SplitMix64(2615)
+    drawn = 0
+    for k, es in ((1, (1, 2)), (2, (2, 3, 4, 5)), (3, (3, 4, 5))):
+        for e in es:
+            for n in range(k, k + 4):
+                for d in (2, 3, 4):
+                    if comb(n + d, d) > 400:
+                        continue
+                    for _ in range(2):
+                        curve = None
+                        while curve is None:
+                            base = [
+                                [rng.next_int(-3, 3) for _ in range(e + 1)] for _ in range(k + 1)
+                            ]
+                            if rank(base, e + 1) == k + 1:
+                                curve = _curve_in_span(rng, n, base, d < 4 and drawn % 3 == 2)
+                        drawn += 1
+                        yield VeroneseContext(n, d), curve
+    cusp = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for n in (2, 3, 4, 5):
+        curve = None
+        while curve is None:
+            curve = _curve_in_span(rng, n, cusp, n == 4)
+        for d in (2, 3, 4):
+            yield VeroneseContext(n, d), curve
+
+
+def test_restriction_type_matches_the_direct_scan():
+    """restriction_type reduces to Sym^2 of the tangent type at d = 2 and to
+    the blocks of theta on the curve's span at d >= 3; the direct scan of
+    the full pullback is the oracle."""
+    checked = spans = 0
+    for ctx, curve in _span_grid():
+        want = splitting_type(normal_presentation(ctx).pullback(curve))
+        assert restriction_type(ctx, curve) == want, (ctx, curve)
+        checked += 1
+        e = curve.degree
+        coeffs = [[f.terms.get((e - j, j), 0) for f in curve.forms] for j in range(e + 1)]
+        spans += rank(coeffs, ctx.num_vars) < ctx.num_vars
+    assert checked == 228 and spans > 150
+
+
+def test_restriction_type_along_lines_is_the_closed_form():
+    """Along a line, N = O(d+2)^(d-1) + O(d+1)^((d-1)(n-1)) + O(d)^rest:
+    the degree-d RNC's normal bundle, n - 1 copies of E_1 = O(d+1)^(d-1),
+    and trivial blocks."""
+    for n in range(1, 11):
+        for d in range(2, 7):
+            ctx = VeroneseContext(n, d)
+            hi, mid = d - 1, (d - 1) * (n - 1)
+            rest = ctx.sym_dim - n - 1 - hi - mid
+            want = SplittingType((d + 2,) * hi + (d + 1,) * mid + (d,) * rest)
+            assert restriction_type(ctx, random_line(n, 10 * n + d)) == want, (n, d)
+
+
+def test_restriction_type_refuses_a_curve_in_another_space():
+    with pytest.raises(ValueError, match="curve lives in P\\^2, map in P\\^3"):
+        restriction_type(VeroneseContext(3, 3), rnc(2, 0))

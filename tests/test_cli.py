@@ -10,7 +10,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import veronese.verify as verify_mod
-from veronese.bundles import euler_presentation
+from veronese.bundles import VeroneseContext, euler_presentation, normal_presentation
 from veronese.cli import main
 from veronese.gradedmap import CurveParam
 from veronese.p1split import splitting_type
@@ -196,7 +196,9 @@ def test_restrict_curve_file_that_does_not_span(tmp_path, capsys):
     """A plane quartic's three forms cannot span the quartics, so the
     Sylvester rank decides its base points.  At d = 2 the restriction of
     N is Sym^2 of the tangent bundle's type along the same curve, for
-    every curve.  The same forms times a common linear factor are refused."""
+    every curve; `restrict` computes it that way, so the direct scan of
+    the full pullback checks it too.  The same forms times a common
+    linear factor are refused."""
     rng = SplitMix64(4)
     forms = [HomPoly(2, 4, {(4 - k, k): rng.next_int(-9, 9) for k in range(5)}) for _ in range(3)]
     curve = CurveParam(4, tuple(forms))
@@ -208,6 +210,8 @@ def test_restrict_curve_file_that_does_not_span(tmp_path, capsys):
     assert code == 0
     tangent = splitting_type(euler_presentation(2).pullback(curve))
     assert payload["samples"][0]["splitting"]["degrees"] == list(tangent.sym_square().degrees)
+    direct = splitting_type(normal_presentation(VeroneseContext(2, 2)).pullback(curve))
+    assert payload["samples"][0]["splitting"]["degrees"] == list(direct.degrees)
 
     factor = HomPoly(2, 1, {(1, 0): 2, (0, 1): -3})
     path.write_text(json.dumps({"degree": 5, "forms": [render_poly(factor * f) for f in forms]}))
