@@ -22,12 +22,15 @@ scanned.  At d >= 3 theta is block-diagonal on a coordinate P^k: with the
 coordinates Z_w, w > k, set to zero, a row g without Z_w keeps the columns
 i <= k, which are theta of P^k; a row h Z_w keeps column w, entry Z^h; every
 other row vanishes.  A curve spanning a P^k is put in coordinates by the
-k + 1 pivot forms of its coefficient rows (N is GL-homogeneous), so
+k + 1 pivot forms of its coefficient matrix (N is GL-homogeneous), which
+`CurveParam` computes once, as `curve.span`, so
 f^*N_(n,d) = f^*N_(k,d) + (f^*E_1)^(n-k) + O(de)^rest, where E_1 is the
 column of degree-(d-1) monomials, O(1) -> O(d)^C(k+d-1,d-1), and
-rest = C(n+d,d) - C(k+d,d) - (n-k) C(k+d-1,d-1).  The direct scan,
-`splitting_type(normal_presentation(ctx).pullback(curve))`, stays the
-oracle that `verify` runs.
+rest = C(n+d,d) - C(k+d,d) - (n-k) C(k+d-1,d-1).  A curve that spans P^n
+is the case n - k = 0: it is its own sub-curve, with no E_1 block and
+rest = 0.  The Euler map is the column of degree-1 monomials.  The
+direct scan, `splitting_type(normal_presentation(ctx).pullback(curve))`,
+stays the oracle that `verify` runs.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .gradedmap import CurveParam, GradedMap
-from .linalg import exact, pivot_columns
+from .linalg import exact
 from .p1split import SplittingType, splitting_type
 from .poly import HomPoly, monomial_index, monomials
 
@@ -181,16 +184,15 @@ def euler_presentation(n: int) -> GradedMap:
     """Presentation of the tangent bundle of P^n: O -> O(1)^(n+1), column (Z_i)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    nv = n + 1
-    rows = [[HomPoly.variable(nv, i)] for i in range(nv)]
-    return GradedMap(nv, [0], [1] * nv, rows)
+    return _monomial_column(n, 1, 0)
 
 
-def _monomial_column(k: int, d: int) -> GradedMap:
-    """E_1 on P^k: O(1) -> O(d)^C(k+d-1,d-1), the column of degree-(d-1) monomials."""
+def _monomial_column(k: int, degree: int, twist: int) -> GradedMap:
+    """O(twist) -> O(twist + degree)^C(k+degree,degree) on P^k, the column of
+    degree-`degree` monomials: the Euler map at (1, 0), E_1 at (d - 1, 1)."""
     nv = k + 1
-    rows = [[HomPoly(nv, d - 1, {g: 1})] for g in monomials(nv, d - 1)]
-    return GradedMap(nv, [1], [d] * len(rows), rows)
+    rows = [[HomPoly(nv, degree, {g: 1})] for g in monomials(nv, degree)]
+    return GradedMap(nv, [twist], [twist + degree] * len(rows), rows)
 
 
 def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
@@ -198,7 +200,8 @@ def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
 
     Equal to `splitting_type(normal_presentation(ctx).pullback(curve))`,
     from a smaller presentation (module docstring): Sym^2 of the tangent
-    type at d = 2, and at d >= 3 the blocks of theta on the curve's span.
+    type at d = 2, and at d >= 3 the blocks of theta on the curve's span,
+    which `curve.span` holds.
     """
     if curve.ambient_vars != ctx.num_vars:
         raise ValueError(
@@ -207,16 +210,13 @@ def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
     n, d, e = ctx.n, ctx.d, curve.degree
     if d == 2:
         return splitting_type(euler_presentation(n).pullback(curve)).sym_square()
-    coeffs = [[f.terms.get((e - j, j), 0) for f in curve.forms] for j in range(e + 1)]
-    span = pivot_columns(coeffs, n + 1)
-    k = len(span) - 1
-    if k == n:
-        return splitting_type(normal_presentation(ctx).pullback(curve))
-    sub = CurveParam(e, tuple(curve.forms[i] for i in span))
-    inner = splitting_type(normal_presentation(VeroneseContext(k, d)).pullback(sub))
-    e1 = splitting_type(_monomial_column(k, d).pullback(sub))
+    k = len(curve.span) - 1
+    sub = curve if k == n else CurveParam(e, tuple(curve.forms[i] for i in curve.span))
+    blocks = splitting_type(normal_presentation(VeroneseContext(k, d)).pullback(sub)).degrees
+    if k < n:
+        blocks += splitting_type(_monomial_column(k, d - 1, 1).pullback(sub)).degrees * (n - k)
     rest = ctx.sym_dim - comb(k + d, d) - (n - k) * comb(k + d - 1, d - 1)
-    return SplittingType(inner.degrees + e1.degrees * (n - k) + (d * e,) * rest)
+    return SplittingType(blocks + (d * e,) * rest)
 
 
 @dataclass(frozen=True)

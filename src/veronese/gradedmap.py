@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import operator
 from itertools import accumulate, repeat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,7 +36,7 @@ from .poly import (
     render_poly,
     section_dim,
 )
-from .linalg import QMatrix, exact, rank
+from .linalg import QMatrix, exact, pivot_columns, rank
 
 
 class TwistMismatchError(ValueError):
@@ -100,16 +100,21 @@ class CurveParam:
     """A base-point-free parametrization of a rational curve in P^n.
 
     forms: n+1 binary forms of one common degree e >= 1 with no common zero.
-    Forms that span S_e, which holds s^e and t^e, have none; others have
-    none exactly when the stratum at 2e - 1 of [f_0 ... f_n] : O(-e)^(n+1)
-    -> O has rank 2e, as two coprime combinations generate S_(2e-1)
-    (Sylvester) and a common factor h caps the rank at 2e - deg h.  That
-    stratum's columns are the multiples f_j s^(e-1-c) t^c, c = 0..e-1: each
-    coefficient row shifted c places.
+    span: the ascending indices of the pivot forms of the (e+1) x (n+1)
+    coefficient matrix, one basis of the curve's linear span P^k with k =
+    len(span) - 1.  It is computed once, here, by one `pivot_columns`
+    call, and left out of the constructor, equality, hash and repr.
+    Forms that span S_e (len(span) = e + 1), which holds s^e and t^e,
+    have no common zero; others have none exactly when the stratum at
+    2e - 1 of [f_0 ... f_n] : O(-e)^(n+1) -> O has rank 2e, as two coprime
+    combinations generate S_(2e-1) (Sylvester) and a common factor h caps
+    the rank at 2e - deg h.  That stratum's columns are the multiples
+    f_j s^(e-1-c) t^c, c = 0..e-1: each coefficient row shifted c places.
     """
 
     degree: int
     forms: tuple[HomPoly, ...]
+    span: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -123,7 +128,8 @@ class CurveParam:
                 raise ValueError("inhomogeneous parametrization")
         e = self.degree
         rows = [[f.terms.get((e - k, k), 0) for k in range(e + 1)] for f in self.forms]
-        if rank(rows, e + 1) <= e:
+        object.__setattr__(self, "span", tuple(pivot_columns(zip(*rows), len(rows))))
+        if len(self.span) <= e:
             shifted = [[0] * c + row + [0] * (e - 1 - c) for row in rows for c in range(e)]
             if rank(zip(*shifted), len(shifted)) < 2 * e:
                 raise BasePointError("parametrization has base point")

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from veronese import bundles, cli, verify
+from veronese import bundles, cli, gradedmap, linalg, verify
 from veronese.bundles import (
     KBundleStats,
     VeroneseContext,
@@ -20,7 +20,7 @@ from veronese.bundles import (
 )
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import BasePointError, CurveParam, GradedMap
-from veronese.linalg import rank
+from veronese.linalg import pivot_columns, rank
 from veronese.p1split import SplittingType, splitting_type
 from veronese.poly import HomPoly, monomials
 from veronese.prng import SplitMix64
@@ -404,6 +404,19 @@ def test_euler_consistency():
             assert comp == want
 
 
+def _coefficients(curve: CurveParam) -> list[list]:
+    """The (e+1) x (n+1) coefficient matrix: row j holds each form's
+    coefficient of s^(e-j) t^j."""
+    e = curve.degree
+    return [[f.terms.get((e - j, j), 0) for f in curve.forms] for j in range(e + 1)]
+
+
+def _mixed_curve(e: int, base: list[list], mix: list[list]) -> CurveParam:
+    """The curve whose form i has the coefficient row sum_b mix[i][b] base[b]."""
+    rows = [[sum(m * b[j] for m, b in zip(row, base)) for j in range(e + 1)] for row in mix]
+    return CurveParam(e, tuple(HomPoly(2, e, {(e - j, j): c for j, c in enumerate(r)}) for r in rows))
+
+
 def _curve_in_span(rng, n: int, base: list[list], fractions: bool) -> CurveParam | None:
     """The curve whose n+1 forms are random combinations of the base forms'
     coefficient rows, all nonzero, so that for n > k it sits in a P^k that
@@ -418,10 +431,8 @@ def _curve_in_span(rng, n: int, base: list[list], fractions: bool) -> CurveParam
     mix = [[draw() for _ in range(k + 1)] for _ in range(n + 1)]
     if not all(any(row) for row in mix) or rank(mix, k + 1) < k + 1:
         return None
-    rows = [[sum(m * b[j] for m, b in zip(row, base)) for j in range(e + 1)] for row in mix]
-    forms = tuple(HomPoly(2, e, {(e - j, j): c for j, c in enumerate(r)}) for r in rows)
     try:
-        return CurveParam(e, forms)
+        return _mixed_curve(e, base, mix)
     except BasePointError:
         return None
 
@@ -468,10 +479,116 @@ def test_restriction_type_matches_the_direct_scan():
         want = splitting_type(normal_presentation(ctx).pullback(curve))
         assert restriction_type(ctx, curve) == want, (ctx, curve)
         checked += 1
-        e = curve.degree
-        coeffs = [[f.terms.get((e - j, j), 0) for f in curve.forms] for j in range(e + 1)]
-        spans += rank(coeffs, ctx.num_vars) < ctx.num_vars
+        spans += rank(_coefficients(curve), ctx.num_vars) < ctx.num_vars
     assert checked == 228 and spans > 150
+
+
+def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
+    """restriction_type ranks no coefficient matrix of the curve: it reads
+    `curve.span`, which `CurveParam` computed when the curve was built.  A
+    curve that spans P^n is the n - k = 0 case of the block formula and
+    scans no E_1 column."""
+    plane7 = [[((i + 2) * k * k + i + 1) % 19 - 9 for k in range(8)] for i in range(3)]
+    cases = [
+        # a conic whose six forms span a P^2 of P^5 that no coordinate plane is
+        (VeroneseContext(5, 3), _mixed_curve(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [
+            [1, 1, 0], [0, 1, -1], [1, 0, 2], [2, -1, 1], [0, 1, 3], [1, -1, 0],
+        ])),
+        # a twisted cubic: k = n
+        (VeroneseContext(3, 3), rnc(3, 5)),
+        # a degree-7 plane curve in a P^2 of P^4; its second form is twice
+        # the first, so the pivot forms are not the first three
+        (VeroneseContext(4, 3), _mixed_curve(7, plane7, [
+            [1, 1, 0], [2, 2, 0], [0, 1, -1], [1, 0, 2], [1, -1, 1],
+        ])),
+    ]
+    want = [splitting_type(normal_presentation(ctx).pullback(curve)) for ctx, curve in cases]
+    spans = [pivot_columns(_coefficients(curve), ctx.num_vars) for ctx, curve in cases]
+    assert spans == [[0, 1, 2], [0, 1, 2, 3], [0, 2, 3]]
+
+    ranked, columns = [], []
+
+    def spy(module, name):
+        real = getattr(linalg, name)
+
+        def call(rows, cols):
+            rows = [list(row) for row in rows]
+            ranked.append(rows)
+            return real(rows, cols)
+
+        monkeypatch.setattr(module, name, call, raising=False)
+
+    for module in (bundles, gradedmap):
+        spy(module, "rank")
+        spy(module, "pivot_columns")
+    column = bundles._monomial_column
+    monkeypatch.setattr(
+        bundles, "_monomial_column", lambda *args: columns.append(args) or column(*args)
+    )
+    for (ctx, curve), w, span in zip(cases, want, spans):
+        ranked.clear()
+        columns.clear()
+        assert restriction_type(ctx, curve) == w, (ctx, curve)
+        coeffs = _coefficients(curve)
+        transposed = [list(col) for col in zip(*coeffs)]
+        assert coeffs not in ranked and transposed not in ranked, (ctx, curve)
+        if len(span) == ctx.num_vars:
+            assert columns == [] and ranked == [], (ctx, curve)
+        else:
+            # the spies do see the ranks of the sub-curve's own constructor
+            sub = [[row[i] for i in span] for row in coeffs]
+            assert sub in ranked or [list(col) for col in zip(*sub)] in ranked
+            assert len(columns) == 1, columns
+
+
+def test_curve_span_is_the_pivot_forms_and_not_part_of_the_value():
+    """`CurveParam.span` is the ascending pivot columns of the coefficient
+    matrix; the constructor, equality, hash, repr and JSON never see it."""
+    rng = SplitMix64(2707)
+    s, t = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
+    curves = [
+        CurveParam(2, (s.power(2), HomPoly.zero(2, 2), t.power(2), s * t)),
+        CurveParam(3, (s.power(3), s * t * t, t.power(3))),
+        *(random_line(n, seed) for n in (1, 3, 6) for seed in (1, 2)),
+        *(rnc(n, seed) for n in (1, 2, 4) for seed in (0, 3)),
+    ]
+    for k, e, n, fractions in ((1, 2, 3, False), (2, 4, 5, True), (3, 3, 3, True), (2, 6, 6, False)):
+        curve = None
+        while curve is None:
+            base = [[rng.next_int(-3, 3) for _ in range(e + 1)] for _ in range(k + 1)]
+            if rank(base, e + 1) == k + 1:
+                curve = _curve_in_span(rng, n, base, fractions)
+        curves.append(curve)
+    assert any(
+        any(isinstance(c, Fraction) for f in curve.forms for c in f.terms.values())
+        for curve in curves
+    )
+    for curve in curves:
+        assert curve.span == tuple(pivot_columns(_coefficients(curve), curve.ambient_vars))
+        twin = CurveParam(curve.degree, curve.forms)
+        object.__setattr__(twin, "span", ())
+        assert twin == curve and hash(twin) == hash(curve)
+        assert repr(twin) == repr(curve) and "span" not in repr(curve)
+        assert twin.to_json() == curve.to_json() == CurveParam.from_json(curve.to_json()).to_json()
+        with pytest.raises(TypeError):
+            CurveParam(curve.degree, curve.forms, curve.span)
+    assert curves[0].span == (0, 2, 3) and curves[1].span == (0, 1, 2)
+
+
+def test_euler_presentation_is_the_column_of_variables():
+    """The Euler map is the degree-1 monomial column: the same entries and
+    twists as a column of `HomPoly.variable`, and the same pullback."""
+    for n in range(1, 7):
+        nv = n + 1
+        want = GradedMap(nv, [0], [1] * nv, [[HomPoly.variable(nv, i)] for i in range(nv)])
+        got = euler_presentation(n)
+        assert (got.source_twists, got.target_twists) == (want.source_twists, want.target_twists)
+        assert [[f.terms for f in row] for row in got.entries] == [
+            [f.terms for f in row] for row in want.entries
+        ]
+        assert got == want
+        curve = rnc(n, 1)
+        assert got.pullback(curve).row_terms() == want.pullback(curve).row_terms()
 
 
 def test_restriction_type_along_lines_is_the_closed_form():
