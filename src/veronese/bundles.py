@@ -28,7 +28,15 @@ f^*N_(n,d) = f^*N_(k,d) + (f^*E_1)^(n-k) + O(de)^rest, where E_1 is the
 column of degree-(d-1) monomials, O(1) -> O(d)^C(k+d-1,d-1), and
 rest = C(n+d,d) - C(k+d,d) - (n-k) C(k+d-1,d-1).  A curve that spans P^n
 is the case n - k = 0: it is its own sub-curve, with no E_1 block and
-rest = 0.  The Euler map is the column of degree-1 monomials.  The
+rest = 0.  The Euler map is the column of degree-1 monomials.
+
+A curve whose forms span S_e (len(span) = e + 1) is one orbit: its
+coefficient matrix has rank e + 1 and completes to some A in GL_{n+1}
+with f = A o nu, nu = (s^e, s^(e-1) t, ..., t^e, 0, ..., 0) the
+torus-fixed degree-e RNC.  N and T are GL-homogeneous, so f^*N = nu^*N
+and f^*T = nu^*T: the type depends on (n, d, e) alone and is computed
+once, along nu, by the paths above.  Other curves (k < e: plane curves of
+degree > 2, covers, the cuspidal cubic) are scanned each time.  The
 direct scan, `splitting_type(normal_presentation(ctx).pullback(curve))`,
 stays the oracle that `verify` runs.
 """
@@ -41,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .curves import rational_normal
 from .gradedmap import CurveParam, GradedMap
 from .linalg import exact
 from .p1split import SplittingType, splitting_type
@@ -201,12 +210,27 @@ def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
     Equal to `splitting_type(normal_presentation(ctx).pullback(curve))`,
     from a smaller presentation (module docstring): Sym^2 of the tangent
     type at d = 2, and at d >= 3 the blocks of theta on the curve's span,
-    which `curve.span` holds.
+    which `curve.span` holds.  A curve whose forms span S_e is in the
+    GL_{n+1} orbit of the torus-fixed `rational_normal(n, e)`, whose type
+    is computed once per (ctx, e); the 64 most recently used are kept.
     """
     if curve.ambient_vars != ctx.num_vars:
         raise ValueError(
             f"curve lives in P^{curve.ambient_vars - 1}, map in P^{ctx.n}"
         )
+    if len(curve.span) == curve.degree + 1:
+        return _orbit_type(ctx, curve.degree)
+    return _span_type(ctx, curve)
+
+
+@lru_cache(maxsize=64)
+def _orbit_type(ctx: VeroneseContext, e: int) -> SplittingType:
+    """The type along every curve whose forms span S_e: that of the
+    torus-fixed `rational_normal(n, e)`, which GL_{n+1} moves onto each."""
+    return _span_type(ctx, rational_normal(ctx.n, e))
+
+
+def _span_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
     n, d, e = ctx.n, ctx.d, curve.degree
     if d == 2:
         return splitting_type(euler_presentation(n).pullback(curve)).sym_square()

@@ -18,7 +18,7 @@ from veronese.bundles import (
     verify_dual_identity,
     xi_matrix,
 )
-from veronese.curves import random_line, rnc, standard_line
+from veronese.curves import random_line, rational_normal, rnc, standard_line
 from veronese.gradedmap import BasePointError, CurveParam, GradedMap
 from veronese.linalg import pivot_columns, rank
 from veronese.p1split import SplittingType, splitting_type
@@ -470,6 +470,12 @@ def _span_grid():
             yield VeroneseContext(n, d), curve
 
 
+def _plane_quartic() -> CurveParam:
+    """A quartic whose three forms span a P^2 = P^n but not S_4: k < e."""
+    rows = [[((2 * i + 3) * k * k + i) % 11 - 5 for k in range(5)] for i in range(3)]
+    return _mixed_curve(4, rows, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 def test_restriction_type_matches_the_direct_scan():
     """restriction_type reduces to Sym^2 of the tangent type at d = 2 and to
     the blocks of theta on the curve's span at d >= 3; the direct scan of
@@ -485,26 +491,30 @@ def test_restriction_type_matches_the_direct_scan():
 
 def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
     """restriction_type ranks no coefficient matrix of the curve: it reads
-    `curve.span`, which `CurveParam` computed when the curve was built.  A
-    curve that spans P^n is the n - k = 0 case of the block formula and
-    scans no E_1 column."""
+    `curve.span`, which `CurveParam` computed when the curve was built.
+    Forms that span S_e (a conic, a twisted cubic) take the torus-fixed
+    member of their orbit, so only that curve's coefficients are ranked.
+    A curve that spans P^n with k < e is the n - k = 0 case of the block
+    formula and scans no E_1 column."""
     plane7 = [[((i + 2) * k * k + i + 1) % 19 - 9 for k in range(8)] for i in range(3)]
     cases = [
         # a conic whose six forms span a P^2 of P^5 that no coordinate plane is
         (VeroneseContext(5, 3), _mixed_curve(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [
             [1, 1, 0], [0, 1, -1], [1, 0, 2], [2, -1, 1], [0, 1, 3], [1, -1, 0],
         ])),
-        # a twisted cubic: k = n
+        # a twisted cubic: k = n = e
         (VeroneseContext(3, 3), rnc(3, 5)),
         # a degree-7 plane curve in a P^2 of P^4; its second form is twice
         # the first, so the pivot forms are not the first three
         (VeroneseContext(4, 3), _mixed_curve(7, plane7, [
             [1, 1, 0], [2, 2, 0], [0, 1, -1], [1, 0, 2], [1, -1, 1],
         ])),
+        # a plane quartic: k = n < e
+        (VeroneseContext(2, 3), _plane_quartic()),
     ]
     want = [splitting_type(normal_presentation(ctx).pullback(curve)) for ctx, curve in cases]
     spans = [pivot_columns(_coefficients(curve), ctx.num_vars) for ctx, curve in cases]
-    assert spans == [[0, 1, 2], [0, 1, 2, 3], [0, 2, 3]]
+    assert spans == [[0, 1, 2], [0, 1, 2, 3], [0, 2, 3], [0, 1, 2]]
 
     ranked, columns = [], []
 
@@ -518,6 +528,7 @@ def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
 
         monkeypatch.setattr(module, name, call, raising=False)
 
+    bundles._orbit_type.cache_clear()
     for module in (bundles, gradedmap):
         spy(module, "rank")
         spy(module, "pivot_columns")
@@ -532,13 +543,83 @@ def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
         coeffs = _coefficients(curve)
         transposed = [list(col) for col in zip(*coeffs)]
         assert coeffs not in ranked and transposed not in ranked, (ctx, curve)
-        if len(span) == ctx.num_vars:
+        if len(span) == curve.degree + 1:
+            # the torus-fixed member is built and scanned once, then reused
+            assert _coefficients(rational_normal(ctx.n, curve.degree)) in ranked
+            assert len(columns) == (len(span) < ctx.num_vars), columns
+            ranked.clear()
+            columns.clear()
+            assert restriction_type(ctx, curve) == w, (ctx, curve)
+            assert columns == [] and ranked == [], (ctx, curve)
+        elif len(span) == ctx.num_vars:
             assert columns == [] and ranked == [], (ctx, curve)
         else:
             # the spies do see the ranks of the sub-curve's own constructor
             sub = [[row[i] for i in span] for row in coeffs]
             assert sub in ranked or [list(col) for col in zip(*sub)] in ranked
             assert len(columns) == 1, columns
+
+
+def test_restriction_type_computes_each_orbit_once(monkeypatch):
+    """Curves whose forms span S_e are one GL_{n+1} orbit: the first is
+    scanned along the torus-fixed `rational_normal(n, e)` and the rest read
+    the memo of (ctx, e).  A curve with k < e scans every time."""
+    for n in range(1, 7):
+        assert rational_normal(n, 1) == standard_line(n)
+        assert rational_normal(n, 1).to_json() == standard_line(n).to_json()
+        assert rational_normal(n, n) == rnc(n, 0)
+        assert rational_normal(n, n).to_json() == rnc(n, 0).to_json()
+        for e in range(1, n + 1):
+            assert rational_normal(n, e).span == tuple(range(e + 1))
+    for n, e in ((2, 0), (2, 3)):
+        with pytest.raises(ValueError):
+            rational_normal(n, e)
+
+    scans = []
+
+    def counted(pres):
+        scans.append(pres)
+        return splitting_type(pres)
+
+    rng = SplitMix64(2817)
+
+    def rnc_in_span(n, e, fractions):
+        curve = None
+        while curve is None:
+            base = [[rng.next_int(-3, 3) for _ in range(e + 1)] for _ in range(e + 1)]
+            if rank(base, e + 1) == e + 1:
+                curve = _curve_in_span(rng, n, base, fractions)
+        return curve
+
+    bundles._orbit_type.cache_clear()
+    monkeypatch.setattr(bundles, "splitting_type", counted)
+    for ctx, e in ((VeroneseContext(5, 3), 2), (VeroneseContext(4, 2), 3)):
+        curves = [rnc_in_span(ctx.n, e, i % 2 == 1) for i in range(5)]
+        assert any(
+            isinstance(c, Fraction) for curve in curves for f in curve.forms for c in f.terms.values()
+        )
+        for i, curve in enumerate(curves):
+            assert len(curve.span) == e + 1 < ctx.num_vars
+            scans.clear()
+            got = restriction_type(ctx, curve)
+            assert bool(scans) == (i == 0), (ctx, e, i)
+            assert got == splitting_type(normal_presentation(ctx).pullback(curve)), (ctx, curve)
+    # another degree in a context already seen is another orbit
+    ctx = VeroneseContext(5, 3)
+    for e in (1, 3):
+        curve = rnc_in_span(ctx.n, e, False)
+        scans.clear()
+        assert restriction_type(ctx, curve) == splitting_type(
+            normal_presentation(ctx).pullback(curve)
+        )
+        assert scans, e
+    ctx = VeroneseContext(2, 3)
+    curve = _plane_quartic()
+    want = splitting_type(normal_presentation(ctx).pullback(curve))
+    for _ in range(2):
+        scans.clear()
+        assert restriction_type(ctx, curve) == want
+        assert scans
 
 
 def test_curve_span_is_the_pivot_forms_and_not_part_of_the_value():
