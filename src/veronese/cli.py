@@ -4,7 +4,9 @@ Commands: normal, restrict, slopes, verify.  JSON is the canonical output
 (stable field order, rationals as strings in lowest terms); tables are a
 derived human view.  Exit codes: 0 success, 1 verification failure,
 2 invalid mathematical input, 3 I/O or format error.  The default seed
-comes from the VERONESE_SEED environment variable when --seed is absent.
+comes from the VERONESE_SEED environment variable when --seed is absent
+and the curve is drawn (line, rnc); a curve file uses no seed, so the
+variable is not read.
 """
 
 from __future__ import annotations
@@ -104,11 +106,13 @@ def cmd_restrict(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
     if args.samples < 1:
         return _fail(EXIT_BAD_INPUT, "--samples must be >= 1")
-    raw = os.environ.get("VERONESE_SEED", "0")
-    try:
-        seed = args.seed if args.seed is not None else int(raw)
-    except ValueError:
-        return _fail(EXIT_IO, f"VERONESE_SEED is not an integer: {raw!r}")
+    seed = args.seed
+    if seed is None and args.curve != "file":
+        raw = os.environ.get("VERONESE_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            return _fail(EXIT_IO, f"VERONESE_SEED is not an integer: {raw!r}")
     try:
         samples, curve_info = _curve_samples(args, seed)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:

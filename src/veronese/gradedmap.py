@@ -105,11 +105,14 @@ class CurveParam:
     len(span) - 1.  It is computed once, here, by one `pivot_columns`
     call, and left out of the constructor, equality, hash and repr.
     Forms that span S_e (len(span) = e + 1), which holds s^e and t^e,
-    have no common zero; others have none exactly when the stratum at
-    2e - 1 of [f_0 ... f_n] : O(-e)^(n+1) -> O has rank 2e, as two coprime
-    combinations generate S_(2e-1) (Sylvester) and a common factor h caps
-    the rank at 2e - deg h.  That stratum's columns are the multiples
-    f_j s^(e-1-c) t^c, c = 0..e-1: each coefficient row shifted c places.
+    have no common zero; others have none exactly when V . S_(e-1) is all
+    of S_(2e-1), V the span of the forms, as two coprime combinations
+    generate S_(2e-1) (Sylvester) and a common factor h caps its dimension
+    at 2e - deg h.  V . S_(e-1) is the column space of the stratum at
+    2e - 1 of the pivot forms, [f_j for j in span] : O(-e)^(k+1) -> O, as
+    it is of the stratum of all n + 1 forms, so the check ranks the
+    2e x (k+1)e one.  Its columns are the multiples f_j s^(e-1-c) t^c,
+    c = 0..e-1: each pivot coefficient row shifted c places.
     """
 
     degree: int
@@ -130,7 +133,7 @@ class CurveParam:
         rows = [[f.terms.get((e - k, k), 0) for k in range(e + 1)] for f in self.forms]
         object.__setattr__(self, "span", tuple(pivot_columns(zip(*rows), len(rows))))
         if len(self.span) <= e:
-            shifted = [[0] * c + row + [0] * (e - 1 - c) for row in rows for c in range(e)]
+            shifted = [[0] * c + rows[i] + [0] * (e - 1 - c) for i in self.span for c in range(e)]
             if rank(zip(*shifted), len(shifted)) < 2 * e:
                 raise BasePointError("parametrization has base point")
 

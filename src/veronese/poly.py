@@ -315,10 +315,18 @@ def monomial_images(forms: Sequence[HomPoly], top: int) -> _ImageTable:
 # factors, and leading zeros in indices and exponents.  Every term ends in a digit, so
 # a "-" after a digit (and any spaces) separates terms; any other "-" is a sign.  An
 # integer coefficient is read by int(); a Fraction is made only for "a/b".
+#
+# Grammar of one unsigned term, all of it matched once by _TERM_RE:
+#   term     := coeff | [coeff ["*"]] monomial
+#   coeff    := ["-"] digits ["/" digits]
+#   monomial := factor ("*" factor)*
+#   factor   := "Z" digits ["^" digits]
+# _FACTOR_RE then reads the factors off the monomial group that _TERM_RE
+# captured, so no factor is matched twice.
 
 _BINARY_MINUS_RE = re.compile(r"(?<=\d)\s*-", re.ASCII)
 _TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?(Z\d+(?:\^\d+)?(?:\*Z\d+(?:\^\d+)?)*)?$", re.ASCII)
-_VAR_RE = re.compile(r"^Z(\d+)(?:\^(\d+))?$", re.ASCII)
+_FACTOR_RE = re.compile(r"Z(\d+)(?:\^(\d+))?", re.ASCII)
 
 
 def render_poly(p: HomPoly) -> str:
@@ -373,15 +381,11 @@ def parse_poly(text: str, num_vars: int, degree: int) -> HomPoly:
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in term {chunk!r}") from None
         exps = [0] * num_vars
-        if m.group(2):
-            for factor in m.group(2).split("*"):
-                vm = _VAR_RE.match(factor)
-                if not vm:
-                    raise ValueError(f"cannot parse factor {factor!r}")
-                idx = int(vm.group(1))
-                if idx >= num_vars:
-                    raise ValueError(f"variable Z{idx} out of range")
-                exps[idx] += int(vm.group(2)) if vm.group(2) else 1
+        for index, power in _FACTOR_RE.findall(m.group(2) or ""):
+            idx = int(index)
+            if idx >= num_vars:
+                raise ValueError(f"variable Z{idx} out of range")
+            exps[idx] += int(power or 1)
         mono = tuple(exps)
         if sum(mono) != degree:
             raise ValueError(

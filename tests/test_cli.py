@@ -443,6 +443,20 @@ def test_env_var_seed_not_integer_exit_3(capsys, monkeypatch):
     assert "VERONESE_SEED is not an integer: 'abc'" in capsys.readouterr().err
 
 
+def test_file_curve_reads_no_seed(capsys, monkeypatch, tmp_path):
+    """A curve file uses no seed, so a malformed VERONESE_SEED changes nothing."""
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"degree": 2, "forms": ["Z0^2", "Z0*Z1", "Z1^2"]}))
+    argv = ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
+    monkeypatch.delenv("VERONESE_SEED", raising=False)
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    monkeypatch.setenv("VERONESE_SEED", "abc")
+    assert main(argv) == 0
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, "")
+
+
 _RECORDED = json.loads((Path(__file__).parent / "data" / "cli_outputs_v1.json").read_text())
 
 

@@ -325,6 +325,8 @@ def test_parse_reads_ascii_digits_only(text):
         ("2/4*Z0^2", "1/2*Z0^2"),  # an unreduced fraction
         ("Z0*Z0 + Z0^2", "2*Z0^2"),  # repeated variable factors and terms
         ("Z00^02", "Z0^2"),  # leading zeros in an index and an exponent
+        ("Z1^0*Z2^2", "Z2^2"),  # a zero exponent inside a product
+        ("Z1*Z1", "Z1^2"),  # a repeated variable in one product
     ],
     ids=[
         "plus",
@@ -339,7 +341,20 @@ def test_parse_reads_ascii_digits_only(text):
         "fraction",
         "repeats",
         "zeros",
+        "zero-exponent-factor",
+        "repeated-factor",
     ],
 )
 def test_parse_leniencies_normalize(text, canonical):
     assert render_poly(parse_poly(text, 4, 2)) == canonical
+
+
+def test_parse_reads_every_factor_of_a_product():
+    """Each factor of a term's monomial is read once, in order: leading
+    zeros in several factors are read as one number each, exponents of a
+    repeated variable add up, and the first index out of range is named."""
+    assert render_poly(parse_poly("Z03*Z00^2", 4, 3)) == "Z0^2*Z3"
+    assert render_poly(parse_poly("2*Z1*Z0^2*Z1^0*Z1", 4, 4)) == "2*Z0^2*Z1^2"
+    for text in ("Z4^2", "Z0*Z4", "Z4*Z9"):
+        with pytest.raises(ValueError, match="^variable Z4 out of range$"):
+            parse_poly(text, 4, 2)
