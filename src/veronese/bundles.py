@@ -89,11 +89,13 @@ class VeroneseContext:
         return comb(self.n + self.d, self.d)
 
 
-def _theta(ctx: VeroneseContext, twist: int) -> GradedMap:
-    """theta tensored with O(twist), written from exponents.
+def theta_matrix(ctx: VeroneseContext) -> GradedMap:
+    """The relation matrix of the twisted-down normal bundle.
 
-    Entry (row g, column i) is d(Z^g)/dZ_i = g_i Z^(g - e_i), and the zero
-    form of degree d - 1 where g_i = 0.
+    Maps (n+1) copies of O(1-d) to C(n+d,d) copies of O; the cokernel is
+    the normal bundle twisted by O(-d).  Entry (row g, column i) is
+    d(Z^g)/dZ_i = g_i Z^(g - e_i), and the zero form of degree d - 1 where
+    g_i = 0.  Each call builds a fresh map.
     """
     nv, d = ctx.num_vars, ctx.d
     zero = HomPoly.zero(nv, d - 1)
@@ -104,17 +106,7 @@ def _theta(ctx: VeroneseContext, twist: int) -> GradedMap:
         ]
         for g in monomials(nv, d)
     ]
-    return GradedMap(nv, [twist + 1 - d] * nv, [twist] * len(rows), rows)
-
-
-def theta_matrix(ctx: VeroneseContext) -> GradedMap:
-    """The relation matrix of the twisted-down normal bundle.
-
-    Maps (n+1) copies of O(1-d) to C(n+d,d) copies of O; the cokernel is
-    the normal bundle twisted by O(-d).  Entry (row g, column i) is
-    d(Z^g)/dZ_i.
-    """
-    return _theta(ctx, 0)
+    return GradedMap(nv, [1 - d] * nv, [0] * len(rows), rows)
 
 
 @lru_cache(maxsize=64)
@@ -130,7 +122,7 @@ def normal_presentation(ctx: VeroneseContext) -> GradedMap:
     map is tuples of forms that nothing in the package changes in place;
     a caller must not change the `terms` of its entries either.
     """
-    return _theta(ctx, ctx.d)
+    return theta_matrix(ctx).twist(ctx.d)
 
 
 def xi_matrix(ctx: VeroneseContext, i: int) -> GradedMap:
@@ -193,15 +185,16 @@ def euler_presentation(n: int) -> GradedMap:
     """Presentation of the tangent bundle of P^n: O -> O(1)^(n+1), column (Z_i)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _monomial_column(n, 1, 0)
+    return _monomial_column(n, 1)
 
 
-def _monomial_column(k: int, degree: int, twist: int) -> GradedMap:
-    """O(twist) -> O(twist + degree)^C(k+degree,degree) on P^k, the column of
-    degree-`degree` monomials: the Euler map at (1, 0), E_1 at (d - 1, 1)."""
+def _monomial_column(k: int, degree: int) -> GradedMap:
+    """O -> O(degree)^C(k+degree,degree) on P^k, the column of
+    degree-`degree` monomials: the Euler map at degree 1, and E_1 twisted
+    by O(1) at degree d - 1."""
     nv = k + 1
     rows = [[HomPoly(nv, degree, {g: 1})] for g in monomials(nv, degree)]
-    return GradedMap(nv, [twist], [twist + degree] * len(rows), rows)
+    return GradedMap(nv, [0], [degree] * len(rows), rows)
 
 
 def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
@@ -238,7 +231,7 @@ def _span_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:
     sub = curve if k == n else CurveParam(e, tuple(curve.forms[i] for i in curve.span))
     blocks = splitting_type(normal_presentation(VeroneseContext(k, d)).pullback(sub)).degrees
     if k < n:
-        blocks += splitting_type(_monomial_column(k, d - 1, 1).pullback(sub)).degrees * (n - k)
+        blocks += splitting_type(_monomial_column(k, d - 1).twist(1).pullback(sub)).degrees * (n - k)
     rest = ctx.sym_dim - comb(k + d, d) - (n - k) * comb(k + d - 1, d - 1)
     return SplittingType(blocks + (d * e,) * rest)
 

@@ -207,13 +207,15 @@ def quotient_map(ses: LinearSES, i: int) -> QMatrix:
 def random_ses(seed: int, max_middle: int = 5) -> LinearSES:
     """Seeded random exact sequence with small integer entries.
 
-    phi is a random injective integer matrix with entries in [-4, 4].  The
-    rows of psi span the left kernel of phi: each vector of `kernel_basis`
-    is scaled by the lcm of its denominators.  It has an entry 1, so for
-    each prime of that lcm some scaled entry is prime to it, and psi has
-    primitive integer rows.  Scaling changes the sequence only by a
-    diagonal change of basis of P.  Dimensions are drawn with
-    1 <= dim M, dim P and dim N <= max_middle, so max_middle must be >= 2.
+    phi is a random injective integer matrix with entries in [-4, 4]; a
+    draw whose left kernel is not of dimension n - m is not injective and
+    is drawn again.  The rows of psi span the left kernel of phi: each
+    vector of `kernel_basis` is scaled by the lcm of its denominators.  It
+    has an entry 1, so for each prime of that lcm some scaled entry is
+    prime to it, and psi has primitive integer rows.  Scaling changes the
+    sequence only by a diagonal change of basis of P.  Dimensions are
+    drawn with 1 <= dim M, dim P and dim N <= max_middle, so max_middle
+    must be >= 2.
     """
     if max_middle < 2:
         raise ValueError(f"max_middle must be >= 2, got {max_middle}")
@@ -224,8 +226,8 @@ def random_ses(seed: int, max_middle: int = 5) -> LinearSES:
         phi = QMatrix(
             [[rng.next_int(-4, 4) for _ in range(m)] for _ in range(n)]
         )
-        if phi.rank() != m:
-            continue
         kernel = phi.transpose().kernel_basis()
+        if len(kernel) != n - m:  # rank-nullity: phi is not injective
+            continue
         psi = _integer_rows([x for (x,) in v.data] for v in kernel)
         return LinearSES(phi, QMatrix(psi, cols=n))

@@ -111,7 +111,9 @@ def test_normal_presentation_is_shared_and_never_changed(tmp_path, capsys):
     for n in range(1, 6):
         for d in range(2, 6):
             ctx = VeroneseContext(n, d)
-            shared, fresh = normal_presentation(ctx), bundles._theta(ctx, d)
+            shared, fresh = normal_presentation(ctx), theta_matrix(ctx).twist(d)
+            assert normal_presentation(ctx) is shared
+            assert theta_matrix(ctx) is not theta_matrix(ctx)
             assert shared.source_twists == fresh.source_twists
             assert shared.target_twists == fresh.target_twists
             assert [[(e.degree, e.terms) for e in row] for row in shared.entries] == [

@@ -13,6 +13,7 @@ from veronese.chow import (
 from veronese.curves import random_line, rnc, standard_line
 from veronese.gradedmap import GradedMap
 from veronese.p1split import SplittingType, splitting_type
+from veronese.poly import HomPoly
 from veronese.prng import SplitMix64
 
 
@@ -90,6 +91,20 @@ def test_hilbert_free_sheaf():
         hp = hilbert_poly(free)
         for m in range(0, 4):
             assert hp.evaluate(m) == comb(n + m, n)
+
+
+def test_hilbert_trims_the_zero_top_coefficients():
+    """Square presentations have rank-0 cokernels, so the m^n coefficient
+    is 0 and is trimmed: O -> O by 1 on P^2 has a zero cokernel, and
+    O(-1) -> O by Z0 has O of a line, chi = m + 1."""
+    unit = hilbert_poly(GradedMap(3, [0], [0], [[HomPoly(3, 0, {(0, 0, 0): 1})]]))
+    assert unit.alphas == (0,)
+    assert unit.dim == 0
+    assert unit.evaluate(5) == 0
+    line = hilbert_poly(GradedMap(3, [-1], [0], [[HomPoly.variable(3, 0)]]))
+    assert line.alphas == (1, 1)
+    assert line.dim == 1
+    assert [line.evaluate(m) for m in range(-1, 3)] == [0, 1, 2, 3]
 
 
 def test_hilbert_leading_coefficient_is_rank():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import veronese.verify as verify_mod
+from veronese import bundles, curves, p1split, symlin
 from veronese.bundles import VeroneseContext, euler_presentation, normal_presentation
 from veronese.cli import main
 from veronese.gradedmap import CurveParam
@@ -92,6 +94,23 @@ def test_restrict_d3_line_degree_sums(capsys):
     for sample in payload["samples"]:
         assert sample["splitting"]["degree"] == 27
         assert sample["gm"]["spread_ok"] and sample["gm"]["sum_ok"]
+
+
+def test_restrict_double_line_reports_a_spread_violation(tmp_path, capsys):
+    """The unit-spread bound is for general lines: the line Z2 = 0 through
+    (s^2, t^2) doubles the line type (4, 3, 2), so the spread is 2, and
+    `restrict` reports it and still exits 0."""
+    path = tmp_path / "double_line.json"
+    path.write_text(json.dumps({"degree": 2, "forms": ["Z0^2", "Z1^2", "0"]}))
+    argv = ["restrict", "--n", "2", "--d", "2", "--curve", "file", "--path", str(path)]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0
+    [sample] = payload["samples"]
+    assert sample["splitting"]["degrees"] == [8, 6, 4]
+    gm = sample["gm"]
+    assert not gm["spread_ok"] and gm["sum_ok"] and gm["rank_ok"]
+    assert main(argv + ["--format", "table"]) == 0
+    assert "  sample 0 (seed None): [8, 6, 4]  gm VIOLATION\n" in capsys.readouterr().out
 
 
 def test_restrict_rnc_samples(capsys):
@@ -317,6 +336,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["command"] == "normal"
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone, as under `veronese ... | head -n 1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_3_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_CHECKS", [r for r in verify_mod._CHECKS if r[0] == "dual_identity"])
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["verify", "--format", "table"])
+    assert code == 3
+    assert capsys.readouterr().err == "[Errno 32] Broken pipe\n"
+
+
 def test_verify_fast_passes(capsys):
     import time
 
@@ -409,6 +446,126 @@ def test_verify_reports_a_raising_check_as_failing(capsys, monkeypatch):
     checks = [r for r in verify_mod._CHECKS if r[0] == "dual_identity"]
     monkeypatch.setattr(verify_mod, "_CHECKS", checks + [("broken", broken, (), ())])
     assert _verify_fails_on(capsys, "broken") == "exception: RuntimeError('boom')"
+
+
+def _moved(st):
+    """The type with its top degree raised and the next one lowered: the
+    same sum, and a gap of at least 2 between them."""
+    degs = st.degrees
+    if len(degs) < 2:
+        return st
+    return p1split.SplittingType((degs[0] + 1, degs[1] - 1, *degs[2:]))
+
+
+def _move_splitting_types(monkeypatch):
+    real = p1split.splitting_type
+    monkeypatch.setattr(p1split, "splitting_type", lambda pres: _moved(real(pres)))
+
+
+def _change_field(name, field, change):
+    """Replaces `bundles.<name>` by the real function with `field` of its
+    result passed through `change`."""
+
+    def patch(monkeypatch):
+        real = getattr(bundles, name)
+
+        def changed(*args):
+            result = real(*args)
+            return dataclasses.replace(result, **{field: change(getattr(result, field))})
+
+        monkeypatch.setattr(bundles, name, changed)
+
+    return patch
+
+
+def _never_commute(monkeypatch):
+    monkeypatch.setattr(symlin, "check_commute", lambda ses, i: False)
+
+
+def _rnc_is_a_line(monkeypatch):
+    monkeypatch.setattr(curves, "rnc", lambda n, seed: curves.standard_line(n))
+
+
+def _move_line_multiset(monkeypatch):
+    real = verify_mod._line_multiset
+    monkeypatch.setattr(
+        verify_mod, "_line_multiset", lambda n: _moved(p1split.SplittingType(real(n))).degrees
+    )
+
+
+def _move_balanced_squares(monkeypatch):
+    real = p1split.SplittingType.sym_square
+
+    def square(st):
+        sq = real(st)
+        return _moved(sq) if len(set(st.degrees)) == 1 else sq
+
+    monkeypatch.setattr(p1split.SplittingType, "sym_square", square)
+
+
+def _plant_a_fault(monkeypatch):
+    suites = list(verify_mod._PROPERTY_SUITES)
+    name, seed, prop = suites[2]
+    suites[2] = (name, seed, lambda rng: prop(rng) or ": planted")
+    monkeypatch.setattr(verify_mod, "_PROPERTY_SUITES", tuple(suites))
+
+
+def _miscount_sections(monkeypatch):
+    real = p1split.h0_direct
+    monkeypatch.setattr(p1split, "h0_direct", lambda pres, m: real(pres, m) + 1)
+
+
+def _raise_type_and_sections(monkeypatch):
+    """The type and h0_direct raised together by O(1) on the top summand:
+    the profiles agree, and only the presentation's Euler characteristic
+    sees the extra degree."""
+    real = verify_mod._random_p1_presentation
+    made = []
+
+    def raised(rng):
+        pres, st = real(rng)
+        made.append(p1split.SplittingType((st.degrees[0] + 1, *st.degrees[1:])))
+        return pres, made[-1]
+
+    monkeypatch.setattr(verify_mod, "_random_p1_presentation", raised)
+    monkeypatch.setattr(p1split, "h0_direct", lambda pres, m: made[-1].h0_profile(m, m)[0])
+
+
+_DUAL_12 = "(n,d)=(1,2): delta^1 = 1 * dual(theta); scalar diagonal = (d-1)!"
+
+
+@pytest.mark.parametrize(
+    "check, fault, detail",
+    [
+        ("rnc_balanced", _move_splitting_types, "d=3: got (6, 4)"),
+        ("line_restriction_d2", _move_splitting_types, "n=2 sample 0: got (5, 2, 2), want (4, 3, 2)"),
+        ("rnc_restriction_d2", _move_splitting_types, "n=2 seed 0: got (7, 6, 5)"),
+        ("grauert_mulich_chern", _move_splitting_types, (
+            "(n,d)=(2,3) seed 1: {'degrees': [6, 4, 4, 4, 3, 3, 3], 'spread_ok': False, "
+            "'sum_ok': True, 'rank_ok': True, 'expected_sum': 27, 'expected_rank': 7}"
+        )),
+        ("dual_identity", _change_field("verify_dual_identity", "ok", lambda ok: False), _DUAL_12),
+        ("dual_identity", _change_field("verify_dual_identity", "is_scalar", lambda s: False), _DUAL_12),
+        ("dual_identity", _change_field("verify_dual_identity", "scale", lambda x: x + 1), "(n,d)=(1,2): diagonal 2 != (d-1)!"),
+        ("symmetrize_dualize_commute", _never_commute, "instance 0 dims (1, 2, 1) i=1"),
+        ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: -x), "(n,d)=(1,2): slopes [2, 1, 0] not increasing"),
+        ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: x + 1), "(n,d)=(1,2): terminal slope 1"),
+        ("k_tower_slopes", _change_field("k_bundle_stats", "degree", lambda x: x - 1), "(n,d,i)=(1,2,1): (2,) vs KBundleStats(i=1, rank=1, degree=-3, slope=-2)"),
+        ("tangent_restrictions", _move_splitting_types, "n=2 line: (3, 0)"),
+        ("tangent_restrictions", _rnc_is_a_line, "n=2 rnc seed 0: (2, 1)"),
+        ("tangent_restrictions", _move_line_multiset, "n=2: sym^2 of line tangent mismatch"),
+        ("tangent_restrictions", _move_balanced_squares, "n=2: sym^2 of rnc tangent mismatch"),
+        ("property_suites", _plant_a_fault, "stratum_functoriality: instance 0: planted"),
+        ("property_suites", _miscount_sections, "h0_oracle: instance 0: [0, 0, 2, 4, 6, 8, 10] vs [1, 1, 3, 5, 7, 9, 11]"),
+        ("property_suites", _raise_type_and_sections, "h0_oracle: instance 0: chi mismatch at twist 1"),
+    ],
+)
+def test_verify_fails_each_check_on_a_broken_fact(capsys, monkeypatch, check, fault, detail):
+    """Every failure return of the checks other than `golden_files`, each
+    reached by breaking the one fact it compares."""
+    monkeypatch.setattr(verify_mod, "_CHECKS", [r for r in verify_mod._CHECKS if r[0] == check])
+    fault(monkeypatch)
+    assert _verify_fails_on(capsys, check) == detail
 
 
 def test_verify_corpus_refuses_an_unknown_scope():

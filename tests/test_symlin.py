@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, gcd
 
@@ -253,6 +254,36 @@ def test_random_ses_psi_is_primitive_integer_kernel():
         rational += any(type(x) is Fraction for row in old.data for x in row)
         assert QMatrix(ses.psi.data + old.data, cols=n).rank() == p
     assert rational >= 100  # most seeds used to give a Fraction psi
+
+
+def test_random_ses_ranks_phi_once(monkeypatch):
+    """phi's left kernel decides its rank, so each sequence is ranked only
+    by `LinearSES`, once for phi and once for psi, and a non-injective
+    draw (seeds 306, 627 and 969 draw one first) is drawn again.  The
+    digest pins the sequence each seed names."""
+    ranks, kernels = [0], [0]
+    real_rank, real_kernel = QMatrix.rank, QMatrix.kernel_basis
+
+    def rank(self):
+        ranks[0] += 1
+        return real_rank(self)
+
+    def kernel_basis(self):
+        kernels[0] += 1
+        return real_kernel(self)
+
+    monkeypatch.setattr(QMatrix, "rank", rank)
+    monkeypatch.setattr(QMatrix, "kernel_basis", kernel_basis)
+    digest = hashlib.sha256()
+    for seed in [*range(200), 306, 627, 969]:
+        ranks[0] = kernels[0] = 0
+        ses = random_ses(seed)
+        assert ranks[0] == 2, seed
+        assert kernels[0] == (2 if seed in (306, 627, 969) else 1), seed
+        digest.update(repr((ses.phi.data, ses.psi.data)).encode())
+    assert digest.hexdigest() == (
+        "ed42e62d305865f826eb567883ae2e53039200b5df355913a8dd7cc1677fb1eb"
+    )
 
 
 @pytest.mark.parametrize("max_middle", [1, 0, -3])
