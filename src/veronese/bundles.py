@@ -101,12 +101,12 @@ def theta_matrix(ctx: VeroneseContext) -> GradedMap:
     zero = HomPoly.zero(nv, d - 1)
     rows = [
         [
-            HomPoly(nv, d - 1, {(*g[:i], gi - 1, *g[i + 1 :]): gi}) if gi else zero
+            HomPoly._trusted(nv, d - 1, {(*g[:i], gi - 1, *g[i + 1 :]): gi}) if gi else zero
             for i, gi in enumerate(g)
         ]
         for g in monomials(nv, d)
     ]
-    return GradedMap(nv, [1 - d] * nv, [0] * len(rows), rows)
+    return GradedMap._trusted(nv, (1 - d,) * nv, (0,) * len(rows), rows)
 
 
 @lru_cache(maxsize=64)
@@ -144,7 +144,7 @@ def xi_matrix(ctx: VeroneseContext, i: int) -> GradedMap:
             if gj:
                 b = g[:j] + (gj - 1,) + g[j + 1 :]
                 rows[row_of[b]][c] = HomPoly.variable(nv, j, gj)
-    return GradedMap(nv, [ctx.d - i] * len(cols), [ctx.d - i + 1] * len(rows), rows)
+    return GradedMap._trusted(nv, (ctx.d - i,) * len(cols), (ctx.d - i + 1,) * len(rows), rows)
 
 
 def delta_matrix(ctx: VeroneseContext, i: int) -> GradedMap:
@@ -193,8 +193,8 @@ def _monomial_column(k: int, degree: int) -> GradedMap:
     degree-`degree` monomials: the Euler map at degree 1, and E_1 twisted
     by O(1) at degree d - 1."""
     nv = k + 1
-    rows = [[HomPoly(nv, degree, {g: 1})] for g in monomials(nv, degree)]
-    return GradedMap(nv, [0], [degree] * len(rows), rows)
+    rows = [[HomPoly._trusted(nv, degree, {g: 1})] for g in monomials(nv, degree)]
+    return GradedMap._trusted(nv, (0,), (degree,) * len(rows), rows)
 
 
 def restriction_type(ctx: VeroneseContext, curve: CurveParam) -> SplittingType:

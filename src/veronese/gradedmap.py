@@ -222,7 +222,7 @@ class GradedMap:
                 forms: list[dict] = [{} for _ in degrees]
                 for j, b, c in terms:
                     forms[j][degrees[j] - b, b] = c
-                rows.append(tuple(map(HomPoly, repeat(2), degrees, forms)))
+                rows.append(tuple(map(HomPoly._trusted, repeat(2), degrees, forms)))
             self._entries = tuple(rows)
         return self._entries
 
@@ -244,18 +244,29 @@ class GradedMap:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def _from_row_terms(
-        source_twists: tuple[int, ...],
-        target_twists: tuple[int, ...],
-        row_terms: list[list[tuple[int, int, int | Fraction]]],
+    def _trusted(
+        num_vars: int,
+        source_twists: Sequence[int],
+        target_twists: Sequence[int],
+        entries: Sequence[Sequence[HomPoly]] | None,
+        row_terms: list[list[tuple[int, int, int | Fraction]]] | None = None,
     ) -> "GradedMap":
-        """A binary map held only as row terms, unchecked; `entries` builds
-        its forms when read."""
+        """A map whose shape and entry degrees already follow from valid
+        operands (compose, twist, dual, pullback) or from monomials the
+        package lists itself (theta, xi, the monomial columns).
+
+        It stores the twists and rows as tuples, as the public constructor
+        does, but skips its checks on row widths, twist gaps and entry
+        degrees.  A binary map may be given only as row terms, with
+        `entries` None; `entries` then builds its forms when read.  Maps
+        from outside the package enter through the public constructor or
+        `from_json`, which keep every check.
+        """
         out = object.__new__(GradedMap)
-        out.num_vars = 2
-        out.source_twists = source_twists
-        out.target_twists = target_twists
-        out._entries = None
+        out.num_vars = num_vars
+        out.source_twists = tuple(source_twists)
+        out.target_twists = tuple(target_twists)
+        out._entries = None if entries is None else tuple(map(tuple, entries))
         out._row_terms = row_terms
         return out
 
@@ -315,7 +326,7 @@ class GradedMap:
                         acc = acc + a * b
                 row.append(acc)
             rows.append(row)
-        return GradedMap(self.num_vars, inner.source_twists, self.target_twists, rows)
+        return GradedMap._trusted(self.num_vars, inner.source_twists, self.target_twists, rows)
 
     def dual(self) -> "GradedMap":
         """Transpose with negated twists: the map between dual twisted frees.
@@ -331,15 +342,15 @@ class GradedMap:
             for i, terms in enumerate(self.row_terms()):
                 for j, b, c in terms:
                     columns[j].append((i, b, c))
-            return GradedMap._from_row_terms(source, target, columns)
+            return GradedMap._trusted(2, source, target, None, columns)
         p, q = self.shape
         entries = self.entries
         rows = [[entries[i][j] for i in range(p)] for j in range(q)]
-        return GradedMap(self.num_vars, source, target, rows)
+        return GradedMap._trusted(self.num_vars, source, target, rows)
 
     def twist(self, a: int) -> "GradedMap":
         """Tensor with O(a): all twists shift, entries unchanged."""
-        return GradedMap(
+        return GradedMap._trusted(
             self.num_vars,
             tuple(s + a for s in self.source_twists),
             tuple(t + a for t in self.target_twists),
@@ -381,9 +392,11 @@ class GradedMap:
                         (j, b, c if type(c) is int else exact(c)) for b, c in acc.items() if c
                     ]
             row_terms.append(terms)
-        return GradedMap._from_row_terms(
+        return GradedMap._trusted(
+            2,
             tuple(e * s for s in self.source_twists),
             tuple(e * t for t in self.target_twists),
+            None,
             row_terms,
         )
 
@@ -426,7 +439,7 @@ class GradedMap:
 
     def stratum(self, m: int) -> QMatrix:
         """The scalar matrix of `stratum_rows(m)`."""
-        return QMatrix(*self.stratum_rows(m))
+        return QMatrix._trusted(*self.stratum_rows(m))
 
     # -- serialization --------------------------------------------------------------
 

@@ -419,6 +419,25 @@ class QMatrix:
             if len(row) != cols:
                 raise ValueError(f"ragged rows: width {len(row)}, expected {cols}")
 
+    @staticmethod
+    def _trusted(rows: Iterable[Sequence], cols: int) -> "QMatrix":
+        """A matrix whose rows all have width `cols` and whose cells are
+        already ints or reduced Fractions by `exact`: a transpose, an
+        `rref`, a stratum of a graded map, or cells divided by
+        `symlin._quotient`.
+
+        The rows are stored as tuples, as the public constructor does, but
+        neither their widths nor their cells are checked again.  A sum or
+        product of Fractions can be an integral Fraction, so `__mul__`,
+        `__add__` and `scale` keep the public constructor, as does every
+        matrix built from values from outside the package.
+        """
+        out = object.__new__(QMatrix)
+        out.data = tuple(map(tuple, rows))
+        out.rows = len(out.data)
+        out.cols = cols
+        return out
+
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
@@ -451,10 +470,7 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return QMatrix._trusted(zip(*self.data) if self.data else [()] * self.cols, self.rows)
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -521,7 +537,7 @@ class QMatrix:
             d = row[c]
             out.append([a // d if not a % d else Fraction(a, d) for a in row])
         out += [[0] * self.cols] * (self.rows - len(pivots))
-        return QMatrix(out, cols=self.cols), tuple(pivots)
+        return QMatrix._trusted(out, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return rank(self.data, self.cols)

@@ -81,6 +81,24 @@ class HomPoly:
 
     # -- constructors ------------------------------------------------------
 
+    @staticmethod
+    def _trusted(num_vars: int, degree: int, terms: Mapping[Monomial, object]) -> "HomPoly":
+        """A form whose monomials are already known to be exponent tuples
+        of length `num_vars` and total degree `degree`: the result of
+        arithmetic on valid forms, or monomials that `monomials` listed.
+
+        The coefficients are still normalized by `exact` and zeros dropped,
+        so the form holds what the public constructor would store; only
+        its checks on the monomials' length, signs and degree are skipped.
+        Values from outside the package enter through the public
+        constructor or `parse_poly`, which keep every check.
+        """
+        out = object.__new__(HomPoly)
+        out.num_vars = num_vars
+        out.degree = degree
+        out.terms = {m: c if type(c) is int else exact(c) for m, c in terms.items() if c}
+        return out
+
     @classmethod
     def zero(cls, num_vars: int, degree: int) -> "HomPoly":
         return cls(num_vars, degree, {})
@@ -141,10 +159,10 @@ class HomPoly:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-        return HomPoly(self.num_vars, self.degree, terms)
+        return HomPoly._trusted(self.num_vars, self.degree, terms)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(
+        return HomPoly._trusted(
             self.num_vars, self.degree, {m: -c for m, c in self.terms.items()}
         )
 
@@ -154,7 +172,7 @@ class HomPoly:
     def __mul__(self, other) -> "HomPoly":
         if not isinstance(other, HomPoly):
             c = exact(other)
-            return HomPoly(
+            return HomPoly._trusted(
                 self.num_vars, self.degree, {m: c * v for m, v in self.terms.items()}
             )
         if self.num_vars != other.num_vars:
@@ -169,7 +187,7 @@ class HomPoly:
                     terms[m] = acc
                 else:
                     terms.pop(m, None)
-        return HomPoly(self.num_vars, deg, terms)
+        return HomPoly._trusted(self.num_vars, deg, terms)
 
     def __rmul__(self, other) -> "HomPoly":
         return self.__mul__(other)
@@ -196,7 +214,7 @@ class HomPoly:
             if e:
                 m = mono[:i] + (e - 1,) + mono[i + 1 :]
                 terms[m] = terms.get(m, 0) + c * e
-        return HomPoly(self.num_vars, self.degree - 1, terms)
+        return HomPoly._trusted(self.num_vars, self.degree - 1, terms)
 
     def substitute(self, forms: Sequence["HomPoly"]) -> "HomPoly":
         """Substitute forms[i] for Z_i: forms of one common degree e in any
@@ -214,7 +232,7 @@ class HomPoly:
             for k, v in images[g].items():
                 acc[k] = acc.get(k, 0) + c * v
         nv, deg = forms[0].num_vars, forms[0].degree * self.degree
-        return HomPoly(nv, deg, {images.monomial(k, deg): c for k, c in acc.items()})
+        return HomPoly._trusted(nv, deg, {images.monomial(k, deg): c for k, c in acc.items()})
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         vals = [exact(x) for x in point]

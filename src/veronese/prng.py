@@ -10,7 +10,8 @@ files are reproducible by any implementation:
     output: z xor (z >> 31)
 
 Bounded draws use rejection sampling on the top multiple of the range, so
-they are exactly uniform and consume a deterministic stream.
+they are exactly uniform and consume a deterministic stream.  A range
+wider than 2^64 has no multiple below 2^64 and is refused.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, n: int) -> int:
-        """Uniform draw from [0, n)."""
+        """Uniform draw from [0, n), for 0 < n <= 2^64."""
         if n <= 0:
             raise ValueError("need positive bound")
+        if n > 1 << 64:  # no multiple of n below 2^64: every draw would be rejected
+            raise ValueError(f"bound {n} exceeds 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()

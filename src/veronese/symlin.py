@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .linalg import QMatrix, _integer_rows
+from .linalg import QMatrix, _integer_rows, exact
 from .poly import HomPoly, monomial_images, monomial_index, monomials
 from .prng import SplitMix64
 
@@ -97,14 +97,14 @@ def _dual_weights(dim: int, i: int) -> list[int]:
 
 
 def _quotient(x, d: int) -> int | Fraction:
-    """x / d for a positive int d: an int when x is an int that d divides,
-    otherwise a Fraction (rational x, from a user-built sequence, takes
-    this path)."""
+    """x / d for a positive int d, normalized by `exact`: an int when x is
+    an int that d divides, without building a Fraction, otherwise by way
+    of one (rational x, from a user-built sequence, takes this path)."""
     if type(x) is int:
         q, r = divmod(x, d)
         if not r:
             return q
-    return Fraction(x, d)
+    return exact(Fraction(x, d))
 
 
 def _dualize(f: QMatrix, row_weights: list[int], col_weights: list[int]) -> QMatrix:
@@ -112,12 +112,12 @@ def _dualize(f: QMatrix, row_weights: list[int], col_weights: list[int]) -> QMat
     row_weights[r] / col_weights[c], which translates abstract duals to
     monomials of the dual variables on both sides.  Each entry is one
     product and one division, exact in ints for an integer f."""
-    return QMatrix(
+    return QMatrix._trusted(
         [
             [_quotient(row_weights[r] * x, col_weights[c]) if x else 0 for c, x in enumerate(col)]
             for r, col in enumerate(zip(*f.data) if f.rows else [()] * f.cols)
         ],
-        cols=f.rows,
+        f.rows,
     )
 
 
@@ -180,8 +180,8 @@ def quotient_via_dualize_then_symmetrize(ses: LinearSES, i: int) -> QMatrix:
             for k, c in enumerate(ses.phi.data[j]):
                 if c:
                     rows[low + k][ai] += a[j] * c
-    return QMatrix(
-        [[_quotient(x, i) if x else 0 for x in row] for row in rows], cols=len(src_monos)
+    return QMatrix._trusted(
+        [[_quotient(x, i) if x else 0 for x in row] for row in rows], len(src_monos)
     )
 
 

@@ -184,7 +184,7 @@ def _random_poly(rng: SplitMix64, nv: int, deg: int) -> HomPoly:
             c = rng.next_int(-5, 5)
             if c:
                 terms[mono] = c
-    return HomPoly(nv, deg, terms)
+    return HomPoly._trusted(nv, deg, terms)
 
 
 def _random_map(rng: SplitMix64, nv: int, src, tgt) -> GradedMap:
@@ -193,7 +193,7 @@ def _random_map(rng: SplitMix64, nv: int, src, tgt) -> GradedMap:
         [_random_poly(rng, nv, t - s) if t >= s else HomPoly.zero(nv, 0) for s in src]
         for t in tgt
     ]
-    return GradedMap(nv, src, tgt, rows)
+    return GradedMap._trusted(nv, src, tgt, rows)
 
 
 # Each prop_* draws one instance from rng and returns None when the property
