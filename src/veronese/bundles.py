@@ -109,18 +109,12 @@ def theta_matrix(ctx: VeroneseContext) -> GradedMap:
     return GradedMap._trusted(nv, (1 - d,) * nv, (0,) * len(rows), rows)
 
 
-@lru_cache(maxsize=64)
 def normal_presentation(ctx: VeroneseContext) -> GradedMap:
     """Presentation with cokernel the normal bundle itself.
 
     Same entries as theta_matrix, twisted so the map runs from (n+1)
     copies of O(1) to C(n+d,d) copies of O(d); cokernel rank is
-    C(n+d,d) - n - 1.
-
-    Built once per context and shared: the 64 most recently used maps are
-    kept, so a loop of restrictions builds its presentation once.  The
-    map is tuples of forms that nothing in the package changes in place;
-    a caller must not change the `terms` of its entries either.
+    C(n+d,d) - n - 1.  Each call builds a fresh map.
     """
     return theta_matrix(ctx).twist(ctx.d)
 

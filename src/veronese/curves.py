@@ -17,9 +17,13 @@ COEFF_LO, COEFF_HI = -9, 9
 
 
 def _from_rows(e: int, rows: list[list[int]]) -> CurveParam:
-    """The curve of degree e whose form i has coefficient rows[i][k] at s^(e-k) t^k."""
+    """The curve of degree e whose form i has coefficient rows[i][k] at s^(e-k) t^k.
+
+    The monomials are listed here and the coefficients are ints, so the
+    forms are built unchecked; `CurveParam` makes every check of a curve.
+    """
     monos = [(e - k, k) for k in range(e + 1)]
-    return CurveParam(e, tuple(HomPoly(2, e, dict(zip(monos, row))) for row in rows))
+    return CurveParam(e, tuple(HomPoly._trusted(2, e, dict(zip(monos, row))) for row in rows))
 
 
 def _draw(n: int, e: int, seed: int) -> CurveParam:

@@ -85,7 +85,8 @@ class HomPoly:
     def _trusted(num_vars: int, degree: int, terms: Mapping[Monomial, object]) -> "HomPoly":
         """A form whose monomials are already known to be exponent tuples
         of length `num_vars` and total degree `degree`: the result of
-        arithmetic on valid forms, or monomials that `monomials` listed.
+        arithmetic on valid forms, or monomials the package lists itself
+        (`monomials`, and the s^(e-k) t^k of `curves._from_rows`).
 
         The coefficients are still normalized by `exact` and zeros dropped,
         so the form holds what the public constructor would store; only

@@ -72,8 +72,7 @@ def sym_power(f: QMatrix, i: int) -> QMatrix:
         return QMatrix.zero(comb(f.rows + i - 1, i), comb(f.cols + i - 1, i))
     unit = monomials(f.rows, 1)
     images = monomial_images(
-        [HomPoly(f.rows, 1, {unit[k]: f[(k, j)] for k in range(f.rows)}) for j in range(f.cols)],
-        i,
+        [HomPoly._trusted(f.rows, 1, dict(zip(unit, col))) for col in zip(*f.data)], i
     )
     cols = [images[a] for a in monomials(f.cols, i)]
     keys = map(images.key, monomials(f.rows, i))

@@ -1,10 +1,9 @@
-import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from veronese import bundles, cli, gradedmap, linalg, verify
+from veronese import bundles, gradedmap, linalg
 from veronese.bundles import (
     KBundleStats,
     VeroneseContext,
@@ -92,35 +91,28 @@ def test_normal_presentation_twists():
     assert len(pres.target_twists) - len(pres.source_twists) == 3
 
 
-def test_normal_presentation_is_shared_and_never_changed(tmp_path, capsys):
-    """One map per context, and the restrictions that read it, from the
-    command line and from the fast corpus, leave it equal to a fresh one:
-    same twists, same entries with their degrees, and the same row terms
-    along a curve, which is all a restriction reads."""
-    assert normal_presentation(VeroneseContext(3, 3)) is normal_presentation(
-        VeroneseContext(3, 3)
-    )
-    path = tmp_path / "cubic.json"
-    path.write_text(json.dumps({"degree": 3, "forms": ["Z0^3", "Z0^2*Z1", "Z0*Z1^2", "Z1^3"]}))
-    for curve in (["line"], ["rnc"], ["file", "--path", str(path)]):
-        argv = ["restrict", "--n", "3", "--d", "3", "--curve", *curve, "--samples", "2"]
-        assert cli.main(argv) == 0
-    capsys.readouterr()
-    for name, check in verify.corpus("fast"):
-        assert check()[0], name
+def test_normal_presentation_is_fresh_on_every_call():
+    """Each call builds its own map, equal to theta twisted by d: same
+    twists, same entries with their degrees, and the same row terms along
+    a curve, which is all a restriction reads.  A change to one call's
+    entries does not reach the next call."""
     for n in range(1, 6):
         for d in range(2, 6):
             ctx = VeroneseContext(n, d)
-            shared, fresh = normal_presentation(ctx), theta_matrix(ctx).twist(d)
-            assert normal_presentation(ctx) is shared
+            first, fresh = normal_presentation(ctx), theta_matrix(ctx).twist(d)
+            second = normal_presentation(ctx)
+            assert first is not second
             assert theta_matrix(ctx) is not theta_matrix(ctx)
-            assert shared.source_twists == fresh.source_twists
-            assert shared.target_twists == fresh.target_twists
-            assert [[(e.degree, e.terms) for e in row] for row in shared.entries] == [
-                [(e.degree, e.terms) for e in row] for row in fresh.entries
-            ]
-            curve = rnc(n, 1)
-            assert shared.pullback(curve).row_terms() == fresh.pullback(curve).row_terms()
+            for pres in (first, second):
+                assert pres.source_twists == fresh.source_twists
+                assert pres.target_twists == fresh.target_twists
+                assert [[(e.degree, e.terms) for e in row] for row in pres.entries] == [
+                    [(e.degree, e.terms) for e in row] for row in fresh.entries
+                ]
+                curve = rnc(n, 1)
+                assert pres.pullback(curve).row_terms() == fresh.pullback(curve).row_terms()
+            first.entries[0][0].terms.clear()
+            assert normal_presentation(ctx).entries[0][0].terms == fresh.entries[0][0].terms != {}
 
 
 def test_normal_presentation_conic_cokernel():

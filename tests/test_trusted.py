@@ -22,7 +22,7 @@ from veronese.bundles import (
     theta_matrix,
     xi_matrix,
 )
-from veronese.curves import rnc
+from veronese.curves import _draw, _from_rows, rational_normal, rnc
 from veronese.gradedmap import CurveParam, GradedMap
 from veronese.linalg import QMatrix
 from veronese.poly import HomPoly, monomials
@@ -103,6 +103,21 @@ def test_form_arithmetic(seed):
     results += [p.differentiate(i) for i in range(nv)]
     for x in results:
         _same_poly(x)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_curve_rows(seed):
+    """`curves._from_rows` lists the monomials s^(e-k) t^k itself; zero
+    coefficients, as in the rational normal curves' rows, are dropped."""
+    rng = SplitMix64(seed)
+    n = rng.next_int(1, 4)
+    e = rng.next_int(1, n)
+    rows = [[(k + 1) * (i == k) - (i == k + 1) for k in range(e + 1)] for i in range(n + 1)]
+    for curve in (_draw(n, e, seed), rational_normal(n, e), _from_rows(e, rows)):
+        assert len(curve.forms) == n + 1
+        for form in curve.forms:
+            _same_poly(form)
+            assert (form.num_vars, form.degree) == (2, e)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
