@@ -36,9 +36,11 @@ with f = A o nu, nu = (s^e, s^(e-1) t, ..., t^e, 0, ..., 0) the
 torus-fixed degree-e RNC.  N and T are GL-homogeneous, so f^*N = nu^*N
 and f^*T = nu^*T: the type depends on (n, d, e) alone and is computed
 once, along nu, by the paths above.  Other curves (k < e: plane curves of
-degree > 2, covers, the cuspidal cubic) are scanned each time.  The
-direct scan, `splitting_type(normal_presentation(ctx).pullback(curve))`,
-stays the oracle that `verify` runs.
+degree > 2, covers, the cuspidal cubic) are scanned each time.  `verify`
+reads its line and RNC types from here.  The direct scan,
+`splitting_type(normal_presentation(ctx).pullback(curve))`, stays the
+oracle: `verify.check_restriction_routes` compares the two on frozen
+curves, and `verify`'s golden check runs it against frozen types.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from math import factorial
 
 from . import bundles, chow, curves, p1split, symlin
 from .bundles import VeroneseContext
-from .gradedmap import CurveParam, GradedMap
+from .gradedmap import BasePointError, CurveParam, GradedMap
 from .poly import HomPoly, monomials
 from .prng import SplitMix64
 
@@ -45,12 +45,15 @@ def _restrictions(
 ) -> Iterator[p1split.SplittingType]:
     """Splitting types of the normal bundle of ctx along each curve, in order.
 
-    The presentation is built once; each restriction is computed only when
-    the caller asks for it, so a check that stops early does no more work.
+    Each type is `bundles.restriction_type`, the one `restrict` reports, so
+    these checks test what `restrict` prints; a curve whose forms span S_e
+    reads the type of its orbit, computed once per (ctx, e).  Each type is
+    computed only when the caller asks for it, so a check that stops early
+    does no more work.  `check_restriction_routes` compares this route with
+    the direct scan.
     """
-    pres = bundles.normal_presentation(ctx)
     for curve in samples:
-        yield p1split.splitting_type(pres.pullback(curve))
+        yield bundles.restriction_type(ctx, curve)
 
 
 # -- individual checks ----------------------------------------------------------
@@ -172,6 +175,98 @@ def check_tangent_restrictions(ns) -> tuple[bool, str]:
         if on_rnc.sym_square().degrees != (2 * n + 2,) * (n * (n + 1) // 2):
             return False, f"n={n}: sym^2 of rnc tangent mismatch"
     return True, f"n in {tuple(ns)}: tangent splittings and symmetric squares exact"
+
+
+# -- restriction routes -----------------------------------------------------------
+
+
+def _orbit_rows(e: int) -> tuple[tuple[int, ...], ...]:
+    """s^e, s^(e-1) t, ..., t^e: forms that span S_e."""
+    return tuple(tuple(int(i == j) for j in range(e + 1)) for i in range(e + 1))
+
+
+def _plane_rows(e: int, seed: int) -> list[list[int]]:
+    """Three forms of degree e drawn from SplitMix64(seed), entries in
+    [-3, 3], redrawn until they are independent with no common zero."""
+    rng = SplitMix64(seed)
+    while True:
+        rows = [[rng.next_int(-3, 3) for _ in range(e + 1)] for _ in range(3)]
+        try:
+            curve = curves._from_rows(e, rows)
+        except BasePointError:
+            continue
+        if len(curve.span) == 3:
+            return rows
+
+
+def _route_curve(rows, n: int, seed: int | None) -> CurveParam:
+    """The curve of the independent forms `rows`, which span a P^k, in P^n.
+
+    With seed None the forms sit in the coordinate P^k (the other n - k
+    forms are zero); otherwise the n + 1 forms are nonzero combinations
+    of them with coefficients in [-3, 3] drawn from SplitMix64(seed),
+    redrawn until they span the same P^k, so that for k < n no coordinate
+    subspace holds the curve.
+    """
+    k, e = len(rows) - 1, len(rows[0]) - 1
+    if seed is None:
+        return curves._from_rows(e, list(rows) + [[0] * (e + 1)] * (n - k))
+    rng = SplitMix64(seed)
+    while True:
+        mix = [[rng.next_int(-3, 3) for _ in rows] for _ in range(n + 1)]
+        if all(any(m) for m in mix):
+            forms = [[sum(a * r[j] for a, r in zip(m, rows)) for j in range(e + 1)] for m in mix]
+            curve = curves._from_rows(e, forms)
+            if len(curve.span) == k + 1:
+                return curve
+
+
+def route_cases() -> list[tuple[str, VeroneseContext, CurveParam]]:
+    """The frozen (label, ctx, curve) cases of `check_restriction_routes`.
+
+    One random member of each of the line, conic and twisted-cubic orbits,
+    which `restriction_type` reads from the torus-fixed curve; then curves
+    with k < e, which it scans on their span, each class in a coordinate
+    and in a non-coordinate span; d = 2, 3, 4.  Every case has
+    C(n+d, d) <= 120 and e <= 6, so the direct scan stays cheap.
+    """
+    # coefficient rows of s^(e-j) t^j, j = 0..e: s^2, t^2 and s^3, s t^2, t^3
+    cover = ((1, 0, 0), (0, 0, 1))
+    cusp = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    quartic, quintic, sextic = (_plane_rows(e, e) for e in (4, 5, 6))
+    specs = (  # name, forms, n, d, mixing seed (None: the coordinate span)
+        ("line", _orbit_rows(1), 3, 3, 1),
+        ("conic", _orbit_rows(2), 4, 2, 2),
+        ("twisted cubic", _orbit_rows(3), 4, 4, 3),
+        ("double cover of a line", cover, 3, 2, 4),
+        ("double cover of a line", cover, 4, 3, None),
+        ("cuspidal cubic", cusp, 3, 4, 5),
+        ("cuspidal cubic", cusp, 5, 3, None),
+        ("plane quartic", quartic, 4, 3, 6),
+        ("plane quartic", quartic, 3, 4, None),
+        ("plane quintic", quintic, 3, 2, 7),
+        ("plane quintic", quintic, 2, 4, None),
+        ("plane sextic", sextic, 3, 3, 8),
+        ("plane sextic", sextic, 4, 3, None),
+    )
+    cases = []
+    for name, rows, n, d, seed in specs:
+        k, e = len(rows) - 1, len(rows[0]) - 1
+        where = "a non-coordinate" if seed is not None and k < n else "the coordinate"
+        label = f"{name} (e={e}) in {where} P^{k} of P^{n}, d={d}"
+        cases.append((label, VeroneseContext(n, d), _route_curve(rows, n, seed)))
+    return cases
+
+
+def check_restriction_routes(cases) -> tuple[bool, str]:
+    """`restriction_type`, the type `restrict` reports, against the direct
+    scan of the whole pullback, on each (label, ctx, curve) case."""
+    for label, ctx, curve in cases:
+        got = bundles.restriction_type(ctx, curve)
+        want = p1split.splitting_type(bundles.normal_presentation(ctx).pullback(curve))
+        if got != want:
+            return False, f"{label}: restriction_type {got.degrees}, direct scan {want.degrees}"
+    return True, f"{len(cases)} curves: restriction_type equals the direct scan"
 
 
 # -- randomized property suites ---------------------------------------------------
@@ -338,7 +433,11 @@ def check_golden_files(full: bool) -> tuple[bool, str]:
         wants.append(golden["standard_line_degrees"])
         lines = [curves.random_line(ctx.n, int(entry["seed"])) for entry in entries]
         lines.append(curves.standard_line(ctx.n))
-        for label, want, st in zip(labels, wants, _restrictions(ctx, lines)):
+        # The direct scan, not `_restrictions`: the frozen types were made by
+        # it, and this keeps the generic pullback scan in `verify`.
+        pres = bundles.normal_presentation(ctx)
+        for label, want, line in zip(labels, wants, lines):
+            st = p1split.splitting_type(pres.pullback(line))
             if list(st.degrees) != want:
                 return False, f"{name}: {label} gives {st.degrees}"
     except (OSError, ValueError, KeyError) as exc:

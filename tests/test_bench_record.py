@@ -24,15 +24,25 @@ def _fake_run(calls):
     return run_once
 
 
+def _fake_verify(calls):
+    def time_verify(scope):
+        calls.append(scope)
+        return {"fast": 0.05, "full": 0.2}[scope] * sum(c == scope for c in calls)
+
+    return time_verify
+
+
 def test_record_schema(tmp_path, monkeypatch):
-    calls = []
+    calls, scopes = [], []
     monkeypatch.setattr(bench_record, "run_once", _fake_run(calls))
+    monkeypatch.setattr(bench_record, "time_verify", _fake_verify(scopes))
     out = tmp_path / "BENCH_7.json"
     assert bench_record.main(["--pr", "7", "--seconds", "0.5", "--seeds", "4,1,2", "--out", str(out)]) == 0
     rec = json.loads(out.read_text(encoding="utf-8"))
     names = [w["name"] for w in SPEC["workloads"]]
     assert calls == [(w, s, 0.5) for w in names for s in (4, 1, 2)]
-    assert set(rec) == {"schema", "pr", "commit", "python", "machine", "seconds", "seeds", "workloads"}
+    assert scopes == ["fast"] * 3 + ["full"] * 3
+    assert set(rec) == {"schema", "pr", "commit", "python", "machine", "seconds", "seeds", "workloads", "verify"}
     assert (rec["schema"], rec["pr"], rec["seconds"], rec["seeds"]) == ("veronese-bench-record/1", 7, 0.5, [4, 1, 2])
     assert rec["commit"] is None or isinstance(rec["commit"], str)
     assert isinstance(rec["python"], str)
@@ -45,6 +55,10 @@ def test_record_schema(tmp_path, monkeypatch):
             got = w["metrics"][m["name"]]
             assert got == {"unit": m["unit"], "better": m["better"],
                            "median": statistics.median([6.0, 1.5, 3.0]), "runs": [6.0, 1.5, 3.0]}
+    assert list(rec["verify"]) == ["fast", "full"]
+    for scope, unit in (("fast", 0.05), ("full", 0.2)):
+        runs = [unit, 2 * unit, 3 * unit]
+        assert rec["verify"][scope] == {"unit": "s", "better": "lower", "median": runs[1], "runs": runs}
 
 
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -62,3 +76,19 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch, capsys):
 def test_malformed_seeds_are_refused(seeds):
     with pytest.raises(SystemExit):
         bench_record.main(["--pr", "7", "--seeds", seeds])
+
+
+def test_failed_verify_writes_nothing(tmp_path, monkeypatch, capsys):
+    def failing(scope):
+        raise bench_record.RunFailed(f"verify --scope {scope}: a check failed")
+
+    monkeypatch.setattr(bench_record, "run_once", _fake_run([]))
+    monkeypatch.setattr(bench_record, "time_verify", failing)
+    out = tmp_path / "BENCH_7.json"
+    assert bench_record.main(["--pr", "7", "--seconds", "1", "--seeds", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "bench_record: verify --scope fast: a check failed\n"
+
+
+def test_time_verify_runs_the_fast_corpus_in_a_fresh_interpreter():
+    assert 0 < bench_record.time_verify("fast") < 60

@@ -483,6 +483,7 @@ def test_restriction_type_matches_the_direct_scan():
     assert checked == 228 and spans > 150
 
 
+@pytest.mark.usefixtures("fresh_orbit_memo")
 def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
     """restriction_type ranks no coefficient matrix of the curve: it reads
     `curve.span`, which `CurveParam` computed when the curve was built.
@@ -522,7 +523,6 @@ def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
 
         monkeypatch.setattr(module, name, call, raising=False)
 
-    bundles._orbit_type.cache_clear()
     for module in (bundles, gradedmap):
         spy(module, "rank")
         spy(module, "pivot_columns")
@@ -554,6 +554,7 @@ def test_restriction_type_reads_the_span_curve_param_computed(monkeypatch):
             assert len(columns) == 1, columns
 
 
+@pytest.mark.usefixtures("fresh_orbit_memo")
 def test_restriction_type_computes_each_orbit_once(monkeypatch):
     """Curves whose forms span S_e are one GL_{n+1} orbit: the first is
     scanned along the torus-fixed `rational_normal(n, e)` and the rest read
@@ -585,7 +586,6 @@ def test_restriction_type_computes_each_orbit_once(monkeypatch):
                 curve = _curve_in_span(rng, n, base, fractions)
         return curve
 
-    bundles._orbit_type.cache_clear()
     monkeypatch.setattr(bundles, "splitting_type", counted)
     for ctx, e in ((VeroneseContext(5, 3), 2), (VeroneseContext(4, 2), 3)):
         curves = [rnc_in_span(ctx.n, e, i % 2 == 1) for i in range(5)]

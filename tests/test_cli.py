@@ -462,6 +462,11 @@ def _move_splitting_types(monkeypatch):
     monkeypatch.setattr(p1split, "splitting_type", lambda pres: _moved(real(pres)))
 
 
+def _move_restriction_types(monkeypatch):
+    real = bundles.restriction_type
+    monkeypatch.setattr(bundles, "restriction_type", lambda ctx, curve: _moved(real(ctx, curve)))
+
+
 def _change_field(name, field, change):
     """Replaces `bundles.<name>` by the real function with `field` of its
     result passed through `change`."""
@@ -537,10 +542,10 @@ _DUAL_12 = "(n,d)=(1,2): delta^1 = 1 * dual(theta); scalar diagonal = (d-1)!"
 @pytest.mark.parametrize(
     "check, fault, detail",
     [
-        ("rnc_balanced", _move_splitting_types, "d=3: got (6, 4)"),
-        ("line_restriction_d2", _move_splitting_types, "n=2 sample 0: got (5, 2, 2), want (4, 3, 2)"),
-        ("rnc_restriction_d2", _move_splitting_types, "n=2 seed 0: got (7, 6, 5)"),
-        ("grauert_mulich_chern", _move_splitting_types, (
+        ("rnc_balanced", _move_restriction_types, "d=3: got (6, 4)"),
+        ("line_restriction_d2", _move_restriction_types, "n=2 sample 0: got (5, 2, 2), want (4, 3, 2)"),
+        ("rnc_restriction_d2", _move_restriction_types, "n=2 seed 0: got (7, 6, 5)"),
+        ("grauert_mulich_chern", _move_restriction_types, (
             "(n,d)=(2,3) seed 1: {'degrees': [6, 4, 4, 4, 3, 3, 3], 'spread_ok': False, "
             "'sum_ok': True, 'rank_ok': True, 'expected_sum': 27, 'expected_rank': 7}"
         )),
@@ -560,9 +565,11 @@ _DUAL_12 = "(n,d)=(1,2): delta^1 = 1 * dual(theta); scalar diagonal = (d-1)!"
         ("property_suites", _raise_type_and_sections, "h0_oracle: instance 0: chi mismatch at twist 1"),
     ],
 )
+@pytest.mark.usefixtures("fresh_orbit_memo")
 def test_verify_fails_each_check_on_a_broken_fact(capsys, monkeypatch, check, fault, detail):
     """Every failure return of the checks other than `golden_files`, each
-    reached by breaking the one fact it compares."""
+    reached by breaking the one fact it compares.  The line and RNC checks
+    read `bundles.restriction_type`, the tangent check the direct scan."""
     monkeypatch.setattr(verify_mod, "_CHECKS", [r for r in verify_mod._CHECKS if r[0] == check])
     fault(monkeypatch)
     assert _verify_fails_on(capsys, check) == detail

@@ -9,15 +9,19 @@ For each workload that BENCHMARK.json names, `bench/run.py --workload W
 --seed S --seconds T --trace 0` runs in its own process once per seed, and
 each end-to-end metric is recorded as the median over the seeds, next to
 the runs behind it.  The file also holds the commit, the Python version
-and the machine as `machine_facts` of bench/run.py reports it.  A run
-that exits nonzero or reports a failed or wrong op stops the script with
-exit 1 before anything is written.  Nothing under bench/ is changed.
+and the machine as `machine_facts` of bench/run.py reports it.  Beside
+the workloads, `verify.run_corpus("fast")` and `("full")` are each timed
+in a fresh interpreter, so that the `_orbit_type` memo starts empty, and
+the median of 3 such runs is recorded.  A run that exits nonzero, reports
+a failed or wrong op or a failing verify report stops the script with exit
+1 before anything is written.  Nothing under bench/ is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 SPEC = ROOT / "BENCHMARK.json"
 SCHEMA = "veronese-bench-record/1"
+VERIFY_RUNS = 3
 
 
 class RunFailed(RuntimeError):
@@ -46,8 +51,29 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def time_verify(scope: str) -> float:
+    """Seconds of one `verify.run_corpus(scope)` in a fresh interpreter."""
+    code = (
+        "import json, time\n"
+        "from veronese import verify\n"
+        "t = time.perf_counter()\n"
+        f"report = verify.run_corpus({scope!r})\n"
+        "print(json.dumps([time.perf_counter() - t, report['passed']]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    if proc.returncode:
+        raise RunFailed(f"verify --scope {scope}: exited {proc.returncode}\n{proc.stderr}")
+    seconds, passed = json.loads(proc.stdout)
+    if not passed:
+        raise RunFailed(f"verify --scope {scope}: a check failed")
+    return seconds
+
+
 def record(pr: int, seconds: float, seeds: list[int]) -> dict:
-    """Medians over `seeds` of every end-to-end metric of every workload."""
+    """Medians over `seeds` of every end-to-end metric of every workload,
+    and of `VERIFY_RUNS` cold runs of each verify scope."""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
     from run import git_commit, machine_facts
@@ -62,6 +88,10 @@ def record(pr: int, seconds: float, seeds: list[int]) -> dict:
             metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
                                   "median": statistics.median(runs), "runs": runs}
         workloads[workload] = {"attempted": [r["attempted"] for r in results], "metrics": metrics}
+    verify = {}
+    for scope in ("fast", "full"):
+        runs = [time_verify(scope) for _ in range(VERIFY_RUNS)]
+        verify[scope] = {"unit": "s", "better": "lower", "median": statistics.median(runs), "runs": runs}
     return {
         "schema": SCHEMA,
         "pr": pr,
@@ -71,6 +101,7 @@ def record(pr: int, seconds: float, seeds: list[int]) -> dict:
         "seconds": seconds,
         "seeds": seeds,
         "workloads": workloads,
+        "verify": verify,
     }
 
 
