@@ -7,6 +7,12 @@ golden file.  It is a function returning (ok, detail), declared once in
 gate) and its `full` ones (the complete corpus); `corpus(scope)` and the
 report follow that table's order.
 
+`property_suites` and `symmetrize_dualize_commute` run half their seeded
+instances in a forked child (`_in_two_processes`) when os.fork exists,
+the process may run on at least two CPUs and no other thread is alive,
+and both halves here otherwise.  Their details are the serial ones either
+way.  Timing spans recorded in the child do not reach the parent's tracer.
+
 Slope semistability of the normal bundle for general (n, d) is not decided
 by an algorithm here; it is evidenced by the necessary-condition checks
 (Grauert-Mulich spread, Chern degree sums, dual identity, slope tables).
@@ -15,6 +21,8 @@ by an algorithm here; it is evidenced by the necessary-condition checks
 from __future__ import annotations
 
 import json
+import os
+import sys
 import time
 from collections.abc import Iterator
 from functools import partial
@@ -54,6 +62,109 @@ def _restrictions(
     """
     for curve in samples:
         yield bundles.restriction_type(ctx, curve)
+
+
+# -- two halves on two processes ------------------------------------------------
+
+
+def _can_fork() -> bool:
+    """Whether `_in_two_processes` forks: os.fork exists, this process may
+    run on at least two CPUs, and no other thread is alive."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    return cpus >= 2 and (threading is None or threading.active_count() == 1)
+
+
+def _in_two_processes(first, second) -> tuple:
+    """(first(), second()) of two zero-argument tasks, with second() run in
+    a forked child when `_can_fork()` and the fork succeeds, else both in
+    order here.
+
+    The child sends back a pickle of its result, or of the exception it
+    raised, which is raised here; it leaves only through `os._exit`, so it
+    never unwinds this stack, runs atexit or flushes stdio.  The child is
+    reaped before this returns or raises; it is killed when first() raises,
+    and a child that ends without sending a result (one that cannot be
+    pickled, say) raises ChildProcessError.
+    """
+    if not _can_fork():
+        return first(), second()
+    import pickle  # here, so that importing this module loads no serializer
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the serial run gives the same results
+        os.close(read_fd)
+        os.close(write_fd)
+        return first(), second()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                report = (True, second())
+            except BaseException as exc:
+                report = (False, exc)
+            view = memoryview(pickle.dumps(report))
+            while view:
+                view = view[os.write(write_fd, view) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    chunks = []
+    try:
+        here = first()
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code or not chunks:
+        raise ChildProcessError(f"the forked half ended with exit code {code} and sent no result")
+    ok, there = pickle.loads(b"".join(chunks))
+    if not ok:
+        raise there
+    return here, there
+
+
+def _first_fault(units) -> tuple[int, str | Exception] | None:
+    """(index, fault) of the first of `units`, (index, zero-argument unit)
+    pairs in table order, that fails: its fault is the detail it returns in
+    place of None, or the exception it raises.  None when all pass."""
+    for index, unit in units:
+        try:
+            fault = unit()
+        except Exception as exc:
+            return index, exc
+        if fault is not None:
+            return index, fault
+    return None
+
+
+def _first_fault_of_halves(here, there) -> str | None:
+    """The detail of the first failing unit of `here` and `there` together,
+    in table order, as one serial pass finds it; `there` runs in the forked
+    half.  A unit that raised as the first fault raises its exception."""
+    faults = [f for f in _in_two_processes(partial(_first_fault, here), partial(_first_fault, there)) if f]
+    if not faults:
+        return None
+    fault = min(faults)[1]
+    if isinstance(fault, Exception):
+        raise fault
+    return fault
 
 
 # -- individual checks ----------------------------------------------------------
@@ -119,14 +230,20 @@ def check_dual_identity(n_max: int, d_max: int) -> tuple[bool, str]:
     return True, "scalar diagonals " + " ".join(diags)
 
 
+def _commute_instance(k: int, seed: int) -> str | None:
+    ses = symlin.random_ses(seed)
+    i = 1 + k % 3
+    return None if symlin.check_commute(ses, i) else f"instance {k} dims {ses.dims} i={i}"
+
+
 def check_commute_suite(count: int) -> tuple[bool, str]:
-    """Symmetrize-then-dualize vs dualize-then-symmetrize on random sequences."""
+    """Symmetrize-then-dualize vs dualize-then-symmetrize on random sequences;
+    the instances from count // 2 on run in the forked half."""
     rng = SplitMix64(2024)
-    for k in range(count):
-        ses = symlin.random_ses(rng.next_u64())
-        i = 1 + k % 3
-        if not symlin.check_commute(ses, i):
-            return False, f"instance {k} dims {ses.dims} i={i}"
+    units = [(k, partial(_commute_instance, k, rng.next_u64())) for k in range(count)]
+    fault = _first_fault_of_halves(units[: count // 2], units[count // 2 :])
+    if fault is not None:
+        return False, fault
     return True, f"{count} random exact sequences, i <= 3, exact equality"
 
 
@@ -383,14 +500,25 @@ _PROPERTY_SUITES = (
 )
 
 
+def _property_suite(name: str, seed: int, prop, count: int) -> str | None:
+    rng = SplitMix64(seed)
+    for k in range(count):
+        fault = prop(rng)
+        if fault is not None:
+            return f"{name}: instance {k}{fault}"
+    return None
+
+
 def check_property_suites(count: int) -> tuple[bool, str]:
-    """`count` instances of each property, drawn from the suite's own seed."""
-    for name, seed, prop in _PROPERTY_SUITES:
-        rng = SplitMix64(seed)
-        for k in range(count):
-            fault = prop(rng)
-            if fault is not None:
-                return False, f"{name}: instance {k}{fault}"
+    """`count` instances of each property, drawn from the suite's own seed;
+    suites 1 and 3 run in the forked half."""
+    units = [
+        (index, partial(_property_suite, name, seed, prop, count))
+        for index, (name, seed, prop) in enumerate(_PROPERTY_SUITES)
+    ]
+    fault = _first_fault_of_halves(units[0::2], units[1::2])
+    if fault is not None:
+        return False, fault
     details = ", ".join(f"{name} ok" for name, _, _ in _PROPERTY_SUITES)
     return True, f"{count} seeded instances per suite: " + details
 

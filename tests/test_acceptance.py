@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
+import pytest
+
 from veronese.bundles import (
     VeroneseContext,
     delta_matrix,
@@ -179,3 +181,10 @@ def test_full_corpus_agrees():
     # names, order, statuses, details and note match the recorded reports
     assert _without_elapsed(report) == _RECORDED["full"]
     assert _without_elapsed(corpus.run_corpus("fast")) == _RECORDED["fast"]
+
+
+@pytest.mark.parametrize("scope", ["fast", "full"])
+def test_both_runners_give_the_recorded_reports(verify_runner, scope):
+    # property_suites and symmetrize_dualize_commute run half their
+    # instances in a forked child, or all of them here; the reports agree
+    assert _without_elapsed(corpus.run_corpus(scope)) == _RECORDED[scope]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import statistics
 from pathlib import Path
 
@@ -25,9 +26,9 @@ def _fake_run(calls):
 
 
 def _fake_verify(calls):
-    def time_verify(scope):
-        calls.append(scope)
-        return {"fast": 0.05, "full": 0.2}[scope] * sum(c == scope for c in calls)
+    def time_verify(scope, one_cpu=False):
+        calls.append((scope, one_cpu))
+        return {"fast": 0.05, "full": 0.2}[scope] * (10 if one_cpu else 1) * calls.count((scope, one_cpu))
 
     return time_verify
 
@@ -41,8 +42,9 @@ def test_record_schema(tmp_path, monkeypatch):
     rec = json.loads(out.read_text(encoding="utf-8"))
     names = [w["name"] for w in SPEC["workloads"]]
     assert calls == [(w, s, 0.5) for w in names for s in (4, 1, 2)]
-    assert scopes == ["fast"] * 3 + ["full"] * 3
-    assert set(rec) == {"schema", "pr", "commit", "python", "machine", "seconds", "seeds", "workloads", "verify"}
+    assert scopes == [(scope, one_cpu) for one_cpu in (False, True) for scope in ("fast", "full") for _ in range(3)]
+    assert set(rec) == {"schema", "pr", "commit", "python", "machine", "seconds", "seeds", "workloads",
+                        "verify", "verify_one_cpu"}
     assert (rec["schema"], rec["pr"], rec["seconds"], rec["seeds"]) == ("veronese-bench-record/1", 7, 0.5, [4, 1, 2])
     assert rec["commit"] is None or isinstance(rec["commit"], str)
     assert isinstance(rec["python"], str)
@@ -55,10 +57,11 @@ def test_record_schema(tmp_path, monkeypatch):
             got = w["metrics"][m["name"]]
             assert got == {"unit": m["unit"], "better": m["better"],
                            "median": statistics.median([6.0, 1.5, 3.0]), "runs": [6.0, 1.5, 3.0]}
-    assert list(rec["verify"]) == ["fast", "full"]
-    for scope, unit in (("fast", 0.05), ("full", 0.2)):
-        runs = [unit, 2 * unit, 3 * unit]
-        assert rec["verify"][scope] == {"unit": "s", "better": "lower", "median": runs[1], "runs": runs}
+    for key, scale in (("verify", 1), ("verify_one_cpu", 10)):
+        assert list(rec[key]) == ["fast", "full"]
+        for scope, unit in (("fast", 0.05 * scale), ("full", 0.2 * scale)):
+            runs = [unit, 2 * unit, 3 * unit]
+            assert rec[key][scope] == {"unit": "s", "better": "lower", "median": runs[1], "runs": runs}
 
 
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -79,7 +82,7 @@ def test_malformed_seeds_are_refused(seeds):
 
 
 def test_failed_verify_writes_nothing(tmp_path, monkeypatch, capsys):
-    def failing(scope):
+    def failing(scope, one_cpu=False):
         raise bench_record.RunFailed(f"verify --scope {scope}: a check failed")
 
     monkeypatch.setattr(bench_record, "run_once", _fake_run([]))
@@ -92,3 +95,9 @@ def test_failed_verify_writes_nothing(tmp_path, monkeypatch, capsys):
 
 def test_time_verify_runs_the_fast_corpus_in_a_fresh_interpreter():
     assert 0 < bench_record.time_verify("fast") < 60
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_time_verify_pins_the_interpreter_to_one_cpu():
+    """The pinned run raises RunFailed when `verify` would still fork."""
+    assert 0 < bench_record.time_verify("fast", one_cpu=True) < 60

@@ -539,37 +539,64 @@ def _raise_type_and_sections(monkeypatch):
 _DUAL_12 = "(n,d)=(1,2): delta^1 = 1 * dual(theta); scalar diagonal = (d-1)!"
 
 
-@pytest.mark.parametrize(
-    "check, fault, detail",
-    [
-        ("rnc_balanced", _move_restriction_types, "d=3: got (6, 4)"),
-        ("line_restriction_d2", _move_restriction_types, "n=2 sample 0: got (5, 2, 2), want (4, 3, 2)"),
-        ("rnc_restriction_d2", _move_restriction_types, "n=2 seed 0: got (7, 6, 5)"),
-        ("grauert_mulich_chern", _move_restriction_types, (
-            "(n,d)=(2,3) seed 1: {'degrees': [6, 4, 4, 4, 3, 3, 3], 'spread_ok': False, "
-            "'sum_ok': True, 'rank_ok': True, 'expected_sum': 27, 'expected_rank': 7}"
-        )),
-        ("dual_identity", _change_field("verify_dual_identity", "ok", lambda ok: False), _DUAL_12),
-        ("dual_identity", _change_field("verify_dual_identity", "is_scalar", lambda s: False), _DUAL_12),
-        ("dual_identity", _change_field("verify_dual_identity", "scale", lambda x: x + 1), "(n,d)=(1,2): diagonal 2 != (d-1)!"),
-        ("symmetrize_dualize_commute", _never_commute, "instance 0 dims (1, 2, 1) i=1"),
-        ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: -x), "(n,d)=(1,2): slopes [2, 1, 0] not increasing"),
-        ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: x + 1), "(n,d)=(1,2): terminal slope 1"),
-        ("k_tower_slopes", _change_field("k_bundle_stats", "degree", lambda x: x - 1), "(n,d,i)=(1,2,1): (2,) vs KBundleStats(i=1, rank=1, degree=-3, slope=-2)"),
-        ("tangent_restrictions", _move_splitting_types, "n=2 line: (3, 0)"),
-        ("tangent_restrictions", _rnc_is_a_line, "n=2 rnc seed 0: (2, 1)"),
-        ("tangent_restrictions", _move_line_multiset, "n=2: sym^2 of line tangent mismatch"),
-        ("tangent_restrictions", _move_balanced_squares, "n=2: sym^2 of rnc tangent mismatch"),
-        ("property_suites", _plant_a_fault, "stratum_functoriality: instance 0: planted"),
-        ("property_suites", _miscount_sections, "h0_oracle: instance 0: [0, 0, 2, 4, 6, 8, 10] vs [1, 1, 3, 5, 7, 9, 11]"),
-        ("property_suites", _raise_type_and_sections, "h0_oracle: instance 0: chi mismatch at twist 1"),
-    ],
-)
+def _never_commute_from_the_second_half(monkeypatch):
+    """A fault planted from instance count // 2 = 12 of the fast scope's 25
+    on, so only the forked half of the commute suite meets it."""
+    real = verify_mod._commute_instance
+
+    def instance(k, seed):
+        return real(k, seed) or (f"instance {k}: planted" if k >= 12 else None)
+
+    monkeypatch.setattr(verify_mod, "_commute_instance", instance)
+
+
+_BROKEN_FACTS = [
+    ("rnc_balanced", _move_restriction_types, "d=3: got (6, 4)"),
+    ("line_restriction_d2", _move_restriction_types, "n=2 sample 0: got (5, 2, 2), want (4, 3, 2)"),
+    ("rnc_restriction_d2", _move_restriction_types, "n=2 seed 0: got (7, 6, 5)"),
+    ("grauert_mulich_chern", _move_restriction_types, (
+        "(n,d)=(2,3) seed 1: {'degrees': [6, 4, 4, 4, 3, 3, 3], 'spread_ok': False, "
+        "'sum_ok': True, 'rank_ok': True, 'expected_sum': 27, 'expected_rank': 7}"
+    )),
+    ("dual_identity", _change_field("verify_dual_identity", "ok", lambda ok: False), _DUAL_12),
+    ("dual_identity", _change_field("verify_dual_identity", "is_scalar", lambda s: False), _DUAL_12),
+    ("dual_identity", _change_field("verify_dual_identity", "scale", lambda x: x + 1), "(n,d)=(1,2): diagonal 2 != (d-1)!"),
+    ("symmetrize_dualize_commute", _never_commute, "instance 0 dims (1, 2, 1) i=1"),
+    ("symmetrize_dualize_commute", _never_commute_from_the_second_half, "instance 12: planted"),
+    ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: -x), "(n,d)=(1,2): slopes [2, 1, 0] not increasing"),
+    ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: x + 1), "(n,d)=(1,2): terminal slope 1"),
+    ("k_tower_slopes", _change_field("k_bundle_stats", "degree", lambda x: x - 1), "(n,d,i)=(1,2,1): (2,) vs KBundleStats(i=1, rank=1, degree=-3, slope=-2)"),
+    ("tangent_restrictions", _move_splitting_types, "n=2 line: (3, 0)"),
+    ("tangent_restrictions", _rnc_is_a_line, "n=2 rnc seed 0: (2, 1)"),
+    ("tangent_restrictions", _move_line_multiset, "n=2: sym^2 of line tangent mismatch"),
+    ("tangent_restrictions", _move_balanced_squares, "n=2: sym^2 of rnc tangent mismatch"),
+    ("property_suites", _plant_a_fault, "stratum_functoriality: instance 0: planted"),
+    ("property_suites", _miscount_sections, "h0_oracle: instance 0: [0, 0, 2, 4, 6, 8, 10] vs [1, 1, 3, 5, 7, 9, 11]"),
+    ("property_suites", _raise_type_and_sections, "h0_oracle: instance 0: chi mismatch at twist 1"),
+]
+
+
+@pytest.mark.parametrize("check, fault, detail", _BROKEN_FACTS)
 @pytest.mark.usefixtures("fresh_orbit_memo")
 def test_verify_fails_each_check_on_a_broken_fact(capsys, monkeypatch, check, fault, detail):
     """Every failure return of the checks other than `golden_files`, each
     reached by breaking the one fact it compares.  The line and RNC checks
     read `bundles.restriction_type`, the tangent check the direct scan."""
+    _only_check_fails_with(capsys, monkeypatch, check, fault, detail)
+
+
+@pytest.mark.parametrize(
+    "check, fault, detail",
+    [case for case in _BROKEN_FACTS if case[0] in ("symmetrize_dualize_commute", "property_suites")],
+)
+def test_split_checks_give_the_serial_detail_on_both_runners(capsys, monkeypatch, verify_runner, check, fault, detail):
+    """The two checks that run half their instances in a forked child name
+    the failing suite or instance that one serial pass names, whichever
+    half meets it (h0_oracle and the second commute half run in the child)."""
+    _only_check_fails_with(capsys, monkeypatch, check, fault, detail)
+
+
+def _only_check_fails_with(capsys, monkeypatch, check, fault, detail):
     monkeypatch.setattr(verify_mod, "_CHECKS", [r for r in verify_mod._CHECKS if r[0] == check])
     fault(monkeypatch)
     assert _verify_fails_on(capsys, check) == detail

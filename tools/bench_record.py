@@ -12,7 +12,10 @@ the runs behind it.  The file also holds the commit, the Python version
 and the machine as `machine_facts` of bench/run.py reports it.  Beside
 the workloads, `verify.run_corpus("fast")` and `("full")` are each timed
 in a fresh interpreter, so that the `_orbit_type` memo starts empty, and
-the median of 3 such runs is recorded.  A run that exits nonzero, reports
+the median of 3 such runs is recorded under `verify`; the same runs with
+the interpreter pinned to one CPU before it imports veronese, so that
+`verify` runs its two split checks serially, are recorded under
+`verify_one_cpu`.  A run that exits nonzero, reports
 a failed or wrong op or a failing verify report stops the script with exit
 1 before anything is written.  Nothing under bench/ is changed.
 """
@@ -51,29 +54,36 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def time_verify(scope: str) -> float:
-    """Seconds of one `verify.run_corpus(scope)` in a fresh interpreter."""
+def time_verify(scope: str, one_cpu: bool = False) -> float:
+    """Seconds of one `verify.run_corpus(scope)` in a fresh interpreter,
+    pinned to the lowest CPU it may run on when `one_cpu`."""
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else ""
+    label = f"verify --scope {scope}" + (" on one CPU" if one_cpu else "")
     code = (
-        "import json, time\n"
-        "from veronese import verify\n"
+        "import json, os, time\n"
+        + pin
+        + "from veronese import verify\n"
         "t = time.perf_counter()\n"
         f"report = verify.run_corpus({scope!r})\n"
-        "print(json.dumps([time.perf_counter() - t, report['passed']]))\n"
+        "print(json.dumps([time.perf_counter() - t, report['passed'], verify._can_fork()]))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     if proc.returncode:
-        raise RunFailed(f"verify --scope {scope}: exited {proc.returncode}\n{proc.stderr}")
-    seconds, passed = json.loads(proc.stdout)
+        raise RunFailed(f"{label}: exited {proc.returncode}\n{proc.stderr}")
+    seconds, passed, forks = json.loads(proc.stdout)
     if not passed:
-        raise RunFailed(f"verify --scope {scope}: a check failed")
+        raise RunFailed(f"{label}: a check failed")
+    if one_cpu and forks:
+        raise RunFailed(f"{label}: verify still forks")
     return seconds
 
 
 def record(pr: int, seconds: float, seeds: list[int]) -> dict:
     """Medians over `seeds` of every end-to-end metric of every workload,
-    and of `VERIFY_RUNS` cold runs of each verify scope."""
+    and of `VERIFY_RUNS` cold runs of each verify scope, on all the CPUs
+    the script may use and on one."""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
     from run import git_commit, machine_facts
@@ -88,10 +98,11 @@ def record(pr: int, seconds: float, seeds: list[int]) -> dict:
             metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
                                   "median": statistics.median(runs), "runs": runs}
         workloads[workload] = {"attempted": [r["attempted"] for r in results], "metrics": metrics}
-    verify = {}
-    for scope in ("fast", "full"):
-        runs = [time_verify(scope) for _ in range(VERIFY_RUNS)]
-        verify[scope] = {"unit": "s", "better": "lower", "median": statistics.median(runs), "runs": runs}
+    verify = {"verify": {}, "verify_one_cpu": {}}
+    for key, one_cpu in (("verify", False), ("verify_one_cpu", True)):
+        for scope in ("fast", "full"):
+            runs = [time_verify(scope, one_cpu) for _ in range(VERIFY_RUNS)]
+            verify[key][scope] = {"unit": "s", "better": "lower", "median": statistics.median(runs), "runs": runs}
     return {
         "schema": SCHEMA,
         "pr": pr,
@@ -101,7 +112,7 @@ def record(pr: int, seconds: float, seeds: list[int]) -> dict:
         "seconds": seconds,
         "seeds": seeds,
         "workloads": workloads,
-        "verify": verify,
+        **verify,
     }
 
 
