@@ -12,9 +12,8 @@ list of (j, b, c) for the terms c s^a t^b of entry (i, j).  `row_terms()`
 is the one decoder of a binary entry's terms; `splitting_type` and binary
 strata read only its lists.  A pullback is built as row terms, summed
 straight from the curve's monomial images (the key of s^a t^b in
-`poly.monomial_images` is b), and the dual of a binary map as its row
-terms transposed; `entries` builds their forms on first read, so
-anything else that reads entries (equality, compose, JSON) still sees
+`poly.monomial_images` is b); `entries` builds its forms on first read,
+so anything else that reads entries (equality, compose, JSON) still sees
 the same map.
 """
 
@@ -331,18 +330,10 @@ class GradedMap:
     def dual(self) -> "GradedMap":
         """Transpose with negated twists: the map between dual twisted frees.
 
-        Entry (j, i) of the dual is entry (i, j), of the same degree, so a
-        binary map's dual is its row terms transposed, (i, b, c) in row j
-        for each (j, b, c) in row i; `entries` builds its forms when read.
+        Entry (j, i) of the dual is entry (i, j), of the same degree.
         """
         source = tuple(-t for t in self.target_twists)
         target = tuple(-s for s in self.source_twists)
-        if self.num_vars == 2:
-            columns: list[list[tuple[int, int, int | Fraction]]] = [[] for _ in target]
-            for i, terms in enumerate(self.row_terms()):
-                for j, b, c in terms:
-                    columns[j].append((i, b, c))
-            return GradedMap._trusted(2, source, target, None, columns)
         p, q = self.shape
         entries = self.entries
         rows = [[entries[i][j] for i in range(p)] for j in range(q)]

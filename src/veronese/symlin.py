@@ -114,7 +114,7 @@ def _dualize(f: QMatrix, row_weights: list[int], col_weights: list[int]) -> QMat
     return QMatrix._trusted(
         [
             [_quotient(row_weights[r] * x, col_weights[c]) if x else 0 for c, x in enumerate(col)]
-            for r, col in enumerate(zip(*f.data) if f.rows else [()] * f.cols)
+            for r, col in enumerate(f.transpose().data)
         ],
         f.rows,
     )

@@ -5,13 +5,17 @@ closed form, compares polynomial matrices entrywise, or matches a frozen
 golden file.  It is a function returning (ok, detail), declared once in
 `_CHECKS` with its `fast` arguments (a reduced parameter set for a quick
 gate) and its `full` ones (the complete corpus); `corpus(scope)` and the
-report follow that table's order.
+report follow that table's order.  The line and RNC checks read
+`bundles.restriction_type`, the type `restrict` reports, so they test what
+`restrict` prints; `check_restriction_routes` compares it with the direct
+scan.
 
-`property_suites` and `symmetrize_dualize_commute` run half their seeded
-instances in a forked child (`_in_two_processes`) when os.fork exists,
-the process may run on at least two CPUs and no other thread is alive,
-and both halves here otherwise.  Their details are the serial ones either
-way.  Timing spans recorded in the child do not reach the parent's tracer.
+`property_suites` and `symmetrize_dualize_commute` run their odd-numbered
+suites or instances in a forked child (`_in_two_processes`) when os.fork
+exists, the process may run on at least two CPUs and no other thread is
+alive, and all of them here otherwise.  Their details are the serial ones
+either way.  Timing spans recorded in the child do not reach the parent's
+tracer.
 
 Slope semistability of the normal bundle for general (n, d) is not decided
 by an algorithm here; it is evidenced by the necessary-condition checks
@@ -24,7 +28,6 @@ import json
 import os
 import sys
 import time
-from collections.abc import Iterator
 from functools import partial
 from importlib import resources
 from math import factorial
@@ -46,22 +49,6 @@ def _line_multiset(n: int) -> tuple[int, ...]:
     return tuple(
         sorted([4] + [3] * (n - 1) + [2] * (n * (n - 1) // 2), reverse=True)
     )
-
-
-def _restrictions(
-    ctx: VeroneseContext, samples: list[CurveParam]
-) -> Iterator[p1split.SplittingType]:
-    """Splitting types of the normal bundle of ctx along each curve, in order.
-
-    Each type is `bundles.restriction_type`, the one `restrict` reports, so
-    these checks test what `restrict` prints; a curve whose forms span S_e
-    reads the type of its orbit, computed once per (ctx, e).  Each type is
-    computed only when the caller asks for it, so a check that stops early
-    does no more work.  `check_restriction_routes` compares this route with
-    the direct scan.
-    """
-    for curve in samples:
-        yield bundles.restriction_type(ctx, curve)
 
 
 # -- two halves on two processes ------------------------------------------------
@@ -172,9 +159,9 @@ def _first_fault_of_halves(here, there) -> str | None:
 
 def check_rnc_balanced(ds) -> tuple[bool, str]:
     """n = 1: restriction along the identity splits as (d+2) repeated d-1 times."""
-    ident = [curves.standard_line(1)]
+    line = curves.standard_line(1)
     for d in ds:
-        (st,) = _restrictions(VeroneseContext(1, d), ident)
+        st = bundles.restriction_type(VeroneseContext(1, d), line)
         if st.degrees != (d + 2,) * (d - 1):
             return False, f"d={d}: got {st.degrees}"
     return True, f"d in {tuple(ds)}: splitting (d+2)^(d-1), exact"
@@ -187,7 +174,9 @@ def check_line_restriction_d2(ns, n_lines: int) -> tuple[bool, str]:
         samples = [curves.standard_line(n)] + [
             curves.random_line(n, seed) for seed in range(1, n_lines + 1)
         ]
-        for k, st in enumerate(_restrictions(VeroneseContext(n, 2), samples)):
+        ctx = VeroneseContext(n, 2)
+        for k, curve in enumerate(samples):
+            st = bundles.restriction_type(ctx, curve)
             if st.degrees != want:
                 return False, f"n={n} sample {k}: got {st.degrees}, want {want}"
     return True, f"{len(ns) * (n_lines + 1)} line restrictions, all exact"
@@ -197,8 +186,9 @@ def check_rnc_restriction_d2(ns, n_curves: int) -> tuple[bool, str]:
     """d = 2 on rational normal curves: (2n+2) repeated n(n+1)/2 times."""
     for n in ns:
         want = (2 * n + 2,) * (n * (n + 1) // 2)
-        samples = [curves.rnc(n, seed) for seed in range(n_curves)]
-        for seed, st in enumerate(_restrictions(VeroneseContext(n, 2), samples)):
+        ctx = VeroneseContext(n, 2)
+        for seed in range(n_curves):
+            st = bundles.restriction_type(ctx, curves.rnc(n, seed))
             if st.degrees != want:
                 return False, f"n={n} seed {seed}: got {st.degrees}"
     return True, f"{len(ns) * n_curves} rational-normal-curve restrictions, all exact"
@@ -208,9 +198,8 @@ def check_grauert_mulich_chern(cases, n_lines: int) -> tuple[bool, str]:
     """Random lines: spread <= 1, degree sum and rank match the Chern data."""
     for n, d in cases:
         ctx = VeroneseContext(n, d)
-        samples = [curves.random_line(n, seed) for seed in range(1, n_lines + 1)]
-        for seed, st in enumerate(_restrictions(ctx, samples), start=1):
-            rep = chow.gm_check(st, ctx)
+        for seed in range(1, n_lines + 1):
+            rep = chow.gm_check(bundles.restriction_type(ctx, curves.random_line(n, seed)), ctx)
             if not rep.all_ok:
                 return False, f"(n,d)=({n},{d}) seed {seed}: {rep.to_json()}"
     return True, f"{len(cases) * n_lines} restrictions pass spread/sum/rank"
@@ -237,11 +226,12 @@ def _commute_instance(k: int, seed: int) -> str | None:
 
 
 def check_commute_suite(count: int) -> tuple[bool, str]:
-    """Symmetrize-then-dualize vs dualize-then-symmetrize on random sequences;
-    the instances from count // 2 on run in the forked half."""
+    """Symmetrize-then-dualize vs dualize-then-symmetrize on random sequences,
+    their seeds drawn up front from one stream; the odd-numbered instances
+    run in the forked half."""
     rng = SplitMix64(2024)
     units = [(k, partial(_commute_instance, k, rng.next_u64())) for k in range(count)]
-    fault = _first_fault_of_halves(units[: count // 2], units[count // 2 :])
+    fault = _first_fault_of_halves(units[0::2], units[1::2])
     if fault is not None:
         return False, fault
     return True, f"{count} random exact sequences, i <= 3, exact equality"
@@ -561,8 +551,8 @@ def check_golden_files(full: bool) -> tuple[bool, str]:
         wants.append(golden["standard_line_degrees"])
         lines = [curves.random_line(ctx.n, int(entry["seed"])) for entry in entries]
         lines.append(curves.standard_line(ctx.n))
-        # The direct scan, not `_restrictions`: the frozen types were made by
-        # it, and this keeps the generic pullback scan in `verify`.
+        # The direct scan, not `restriction_type`: the frozen types were made
+        # by it, and this keeps the generic pullback scan in `verify`.
         pres = bundles.normal_presentation(ctx)
         for label, want, line in zip(labels, wants, lines):
             st = p1split.splitting_type(pres.pullback(line))

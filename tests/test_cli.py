@@ -539,15 +539,26 @@ def _raise_type_and_sections(monkeypatch):
 _DUAL_12 = "(n,d)=(1,2): delta^1 = 1 * dual(theta); scalar diagonal = (d-1)!"
 
 
-def _never_commute_from_the_second_half(monkeypatch):
-    """A fault planted from instance count // 2 = 12 of the fast scope's 25
-    on, so only the forked half of the commute suite meets it."""
+def _plant_commute_faults(monkeypatch, faulty):
     real = verify_mod._commute_instance
 
     def instance(k, seed):
-        return real(k, seed) or (f"instance {k}: planted" if k >= 12 else None)
+        return real(k, seed) or (f"instance {k}: planted" if faulty(k) else None)
 
     monkeypatch.setattr(verify_mod, "_commute_instance", instance)
+
+
+def _never_commute_from_the_second_half(monkeypatch):
+    """A fault planted from instance 12 of the fast scope's 25 on: both
+    halves of the commute suite meet it, and the first is even, so it is
+    the caller's."""
+    _plant_commute_faults(monkeypatch, lambda k: k >= 12)
+
+
+def _never_commute_on_odd_instances(monkeypatch):
+    """A fault planted only on the odd instances, which the forked half
+    runs alone."""
+    _plant_commute_faults(monkeypatch, lambda k: k % 2)
 
 
 _BROKEN_FACTS = [
@@ -563,6 +574,7 @@ _BROKEN_FACTS = [
     ("dual_identity", _change_field("verify_dual_identity", "scale", lambda x: x + 1), "(n,d)=(1,2): diagonal 2 != (d-1)!"),
     ("symmetrize_dualize_commute", _never_commute, "instance 0 dims (1, 2, 1) i=1"),
     ("symmetrize_dualize_commute", _never_commute_from_the_second_half, "instance 12: planted"),
+    ("symmetrize_dualize_commute", _never_commute_on_odd_instances, "instance 1: planted"),
     ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: -x), "(n,d)=(1,2): slopes [2, 1, 0] not increasing"),
     ("k_tower_slopes", _change_field("k_bundle_stats", "slope", lambda x: x + 1), "(n,d)=(1,2): terminal slope 1"),
     ("k_tower_slopes", _change_field("k_bundle_stats", "degree", lambda x: x - 1), "(n,d,i)=(1,2,1): (2,) vs KBundleStats(i=1, rank=1, degree=-3, slope=-2)"),
@@ -592,7 +604,7 @@ def test_verify_fails_each_check_on_a_broken_fact(capsys, monkeypatch, check, fa
 def test_split_checks_give_the_serial_detail_on_both_runners(capsys, monkeypatch, verify_runner, check, fault, detail):
     """The two checks that run half their instances in a forked child name
     the failing suite or instance that one serial pass names, whichever
-    half meets it (h0_oracle and the second commute half run in the child)."""
+    half meets it (h0_oracle and the odd commute instances run in the child)."""
     _only_check_fails_with(capsys, monkeypatch, check, fault, detail)
 
 
